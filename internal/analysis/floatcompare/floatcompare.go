@@ -23,7 +23,6 @@ import (
 	"go/constant"
 	"go/printer"
 	"go/token"
-	"go/types"
 	"strings"
 
 	"repro/internal/analysis/blobvet"
@@ -63,21 +62,10 @@ func run(pass *blobvet.Pass) error {
 }
 
 // floatOperand reports whether expr has (or defaults to) a float32/float64
-// type and is not itself a compile-time constant paired below.
+// type, or the type of a float-only type parameter.
 func floatOperand(pass *blobvet.Pass, expr ast.Expr) bool {
 	t := pass.Info.TypeOf(expr)
-	if t == nil {
-		return false
-	}
-	basic, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	switch basic.Kind() {
-	case types.Float32, types.Float64, types.UntypedFloat:
-		return true
-	}
-	return false
+	return t != nil && blobvet.IsFloat(t)
 }
 
 // exactSentinel reports whether expr is a compile-time constant whose value

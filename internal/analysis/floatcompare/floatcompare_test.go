@@ -13,7 +13,7 @@ import (
 func TestFixture(t *testing.T) {
 	diags := analysistest.Run(t, floatcompare.Analyzer,
 		"../testdata/src/floatcompare", "fixture/floatcompare")
-	if len(diags) != 4 {
-		t.Errorf("want 4 diagnostics from seeded violations, got %d", len(diags))
+	if len(diags) != 5 {
+		t.Errorf("want 5 diagnostics from seeded violations, got %d", len(diags))
 	}
 }

@@ -10,7 +10,7 @@
 // comment:
 //
 //	//blobvet:hotpath
-//	func microKernel32(...)
+//	func microKernel8x4(...)
 //
 // Inside a marked function's body, error severity:
 //

@@ -105,7 +105,8 @@ func checkKernel(pass *blobvet.Pass, fn *ast.FuncDecl) {
 
 // indexable reports whether expr is a kernel operand buffer: a slice or
 // array whose elements are floating point (or a pointer to one, for the
-// register-tile accumulators). Indexing other slices — e.g. a batch's
+// register-tile accumulators), including the []T of a generic kernel
+// over float type parameters. Indexing other slices — e.g. a batch's
 // item descriptors — is not an operand access and does not need to wait
 // for the validator.
 func indexable(pass *blobvet.Pass, expr ast.Expr) bool {
@@ -125,6 +126,5 @@ func indexable(pass *blobvet.Pass, expr ast.Expr) bool {
 	default:
 		return false
 	}
-	basic, ok := elem.Underlying().(*types.Basic)
-	return ok && basic.Info()&types.IsFloat != 0
+	return blobvet.IsFloat(elem)
 }

@@ -12,8 +12,8 @@ import (
 func TestFixture(t *testing.T) {
 	diags := analysistest.Run(t, kernelargcheck.Analyzer,
 		"../testdata/src/kernelargcheck", "fixture/internal/blas")
-	if len(diags) != 3 {
-		t.Errorf("want 3 diagnostics from seeded violations, got %d", len(diags))
+	if len(diags) != 4 {
+		t.Errorf("want 4 diagnostics from seeded violations, got %d", len(diags))
 	}
 }
 

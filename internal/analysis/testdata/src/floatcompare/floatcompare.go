@@ -46,3 +46,15 @@ func suppressed(a, b float64) bool {
 }
 
 func intsAreFine(i, j int) bool { return i == j }
+
+// Generic kernels over float type parameters are checked like their
+// concrete float32/float64 counterparts.
+func genericViolation[T float32 | float64](a, b T) bool {
+	return a == b // want `floating-point == comparison`
+}
+
+func genericSentinel[T float32 | float64](beta T) bool {
+	return beta == 0 // Beta=0 contract on a generic kernel: still allowed
+}
+
+func genericNonFloat[T int | int64](a, b T) bool { return a == b }

@@ -42,6 +42,13 @@ func BadGemvNoIndex(m, n int, a, x, y []float64, lda int) { // want `has no chec
 	GoodGemv(m, n, a, x, y, lda)
 }
 
+// BadGenericGemv is a generic kernel over float type parameters; its []T
+// operands are checked like []float64 ones.
+func BadGenericGemv[T float32 | float64](m, n int, a, x, y []T, lda int) {
+	y[0] = x[0] // want `indexes an operand before its check\* validator runs`
+	checkGemv(m, n, lda)
+}
+
 // GoodGemm is the compliant shape: validate first, index after.
 func GoodGemm(m, n, k int, a, b, c []float64, lda, ldb, ldc int) {
 	checkGemm(m, n, k, lda, ldb, ldc)
