@@ -7,118 +7,40 @@ import "repro/internal/parallel"
 // paid once and the batch can be spread across all workers even when each
 // individual problem is too small to parallelise internally.
 
-// DgemmBatchItem describes one GEMM of a float64 batch. All matrices are
-// column-major; semantics per item match RefDgemm.
-type DgemmBatchItem struct {
+// gemmBatchItem describes one GEMM of a batch. All matrices are
+// column-major; semantics per item match RefSgemm/RefDgemm.
+type gemmBatchItem[T float] struct {
 	TransA, TransB Transpose
 	M, N, K        int
-	Alpha          float64
-	A              []float64
+	Alpha          T
+	A              []T
 	Lda            int
-	B              []float64
+	B              []T
 	Ldb            int
-	Beta           float64
-	C              []float64
+	Beta           T
+	C              []T
 	Ldc            int
 }
 
+// DgemmBatchItem describes one GEMM of a float64 batch.
+type DgemmBatchItem = gemmBatchItem[float64]
+
 // SgemmBatchItem describes one GEMM of a float32 batch.
-type SgemmBatchItem struct {
-	TransA, TransB Transpose
-	M, N, K        int
-	Alpha          float32
-	A              []float32
-	Lda            int
-	B              []float32
-	Ldb            int
-	Beta           float32
-	C              []float32
-	Ldc            int
-}
+type SgemmBatchItem = gemmBatchItem[float32]
 
 // DgemmBatched executes every GEMM in the batch. Items are validated before
 // any is executed, so a malformed item panics without partial updates.
 // Items are distributed across the worker pool one-at-a-time (guided), and
 // each item is computed serially to avoid nested parallelism.
 func DgemmBatched(items []DgemmBatchItem) {
-	for i := range items {
-		it := &items[i]
-		checkGemm(it.TransA, it.TransB, it.M, it.N, it.K, it.Lda, it.Ldb, it.Ldc)
-	}
-	p := getPool()
-	run := func(it *DgemmBatchItem) {
-		if it.M == 0 || it.N == 0 {
-			return
-		}
-		for j := 0; j < it.N; j++ {
-			cj := it.C[j*it.Ldc : j*it.Ldc+it.M]
-			if it.Beta == 0 {
-				for i := range cj {
-					cj[i] = 0
-				}
-			} else if it.Beta != 1 {
-				for i := range cj {
-					cj[i] *= it.Beta
-				}
-			}
-		}
-		if it.Alpha == 0 || it.K == 0 {
-			return
-		}
-		gemmSerial64(it.TransA, it.TransB, it.M, it.N, it.K, it.Alpha, it.A, it.Lda, it.B, it.Ldb, it.C, it.Ldc)
-	}
-	if p.Workers() == 1 || len(items) == 1 {
-		for i := range items {
-			run(&items[i])
-		}
-		return
-	}
-	p.ForChunked(len(items), 1, func(_ int, r parallel.Range) {
-		for i := r.Lo; i < r.Hi; i++ {
-			run(&items[i])
-		}
-	})
+	checkGemmBatch(items)
+	gemmBatched(prec64, items)
 }
 
 // SgemmBatched executes every GEMM in the float32 batch; see DgemmBatched.
 func SgemmBatched(items []SgemmBatchItem) {
-	for i := range items {
-		it := &items[i]
-		checkGemm(it.TransA, it.TransB, it.M, it.N, it.K, it.Lda, it.Ldb, it.Ldc)
-	}
-	p := getPool()
-	run := func(it *SgemmBatchItem) {
-		if it.M == 0 || it.N == 0 {
-			return
-		}
-		for j := 0; j < it.N; j++ {
-			cj := it.C[j*it.Ldc : j*it.Ldc+it.M]
-			if it.Beta == 0 {
-				for i := range cj {
-					cj[i] = 0
-				}
-			} else if it.Beta != 1 {
-				for i := range cj {
-					cj[i] *= it.Beta
-				}
-			}
-		}
-		if it.Alpha == 0 || it.K == 0 {
-			return
-		}
-		gemmSerial32(it.TransA, it.TransB, it.M, it.N, it.K, it.Alpha, it.A, it.Lda, it.B, it.Ldb, it.C, it.Ldc)
-	}
-	if p.Workers() == 1 || len(items) == 1 {
-		for i := range items {
-			run(&items[i])
-		}
-		return
-	}
-	p.ForChunked(len(items), 1, func(_ int, r parallel.Range) {
-		for i := r.Lo; i < r.Hi; i++ {
-			run(&items[i])
-		}
-	})
+	checkGemmBatch(items)
+	gemmBatched(prec32, items)
 }
 
 // DgemmStridedBatched runs batchCount GEMMs of identical shape whose
@@ -130,16 +52,7 @@ func DgemmStridedBatched(transA, transB Transpose, m, n, k int, alpha float64,
 	beta float64, c []float64, ldc int, strideC int, batchCount int) {
 	checkGemm(transA, transB, m, n, k, lda, ldb, ldc)
 	checkStridedBatch(strideA, strideB, strideC, batchCount)
-	items := make([]DgemmBatchItem, batchCount)
-	for i := 0; i < batchCount; i++ {
-		items[i] = DgemmBatchItem{
-			TransA: transA, TransB: transB, M: m, N: n, K: k,
-			Alpha: alpha, A: a[i*strideA:], Lda: lda,
-			B: b[i*strideB:], Ldb: ldb,
-			Beta: beta, C: c[i*strideC:], Ldc: ldc,
-		}
-	}
-	DgemmBatched(items)
+	gemmStridedBatched(prec64, transA, transB, m, n, k, alpha, a, lda, strideA, b, ldb, strideB, beta, c, ldc, strideC, batchCount)
 }
 
 // SgemmStridedBatched runs batchCount float32 GEMMs of identical shape at
@@ -150,14 +63,49 @@ func SgemmStridedBatched(transA, transB Transpose, m, n, k int, alpha float32,
 	beta float32, c []float32, ldc int, strideC int, batchCount int) {
 	checkGemm(transA, transB, m, n, k, lda, ldb, ldc)
 	checkStridedBatch(strideA, strideB, strideC, batchCount)
-	items := make([]SgemmBatchItem, batchCount)
-	for i := 0; i < batchCount; i++ {
-		items[i] = SgemmBatchItem{
+	gemmStridedBatched(prec32, transA, transB, m, n, k, alpha, a, lda, strideA, b, ldb, strideB, beta, c, ldc, strideC, batchCount)
+}
+
+// checkGemmBatch validates every item of a batch with checkGemm.
+func checkGemmBatch[T float](items []gemmBatchItem[T]) {
+	for i := range items {
+		it := &items[i]
+		checkGemm(it.TransA, it.TransB, it.M, it.N, it.K, it.Lda, it.Ldb, it.Ldc)
+	}
+}
+
+// gemmBatched runs a validated batch.
+func gemmBatched[T float](pr *precision[T], items []gemmBatchItem[T]) {
+	p := getPool()
+	run := func(it *gemmBatchItem[T]) {
+		if scaleC(it.M, it.N, it.K, it.Alpha, it.Beta, it.C, it.Ldc) {
+			gemmSerial(pr, it.TransA, it.TransB, it.M, it.N, it.K, it.Alpha, it.A, it.Lda, it.B, it.Ldb, it.C, it.Ldc)
+		}
+	}
+	if p.Workers() == 1 || len(items) == 1 {
+		for i := range items {
+			run(&items[i])
+		}
+		return
+	}
+	p.ForChunked(len(items), 1, func(_ int, r parallel.Range) {
+		for i := r.Lo; i < r.Hi; i++ {
+			run(&items[i])
+		}
+	})
+}
+
+// gemmStridedBatched expands a validated strided batch into items.
+func gemmStridedBatched[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alpha T,
+	a []T, lda, strideA int, b []T, ldb, strideB int, beta T, c []T, ldc, strideC, batchCount int) {
+	items := make([]gemmBatchItem[T], batchCount)
+	for i := range items {
+		items[i] = gemmBatchItem[T]{
 			TransA: transA, TransB: transB, M: m, N: n, K: k,
 			Alpha: alpha, A: a[i*strideA:], Lda: lda,
 			B: b[i*strideB:], Ldb: ldb,
 			Beta: beta, C: c[i*strideC:], Ldc: ldc,
 		}
 	}
-	SgemmBatched(items)
+	gemmBatched(pr, items)
 }

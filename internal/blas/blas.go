@@ -115,6 +115,33 @@ func checkGemv(trans Transpose, m, n, lda, incX, incY int) {
 	}
 }
 
+func checkGer(m, n, lda, incX, incY int) {
+	if m < 0 || n < 0 {
+		panic("blas: negative ger dimension")
+	}
+	if lda < max(1, m) {
+		panic("blas: ger lda too small")
+	}
+	if incX == 0 || incY == 0 {
+		panic("blas: zero vector increment")
+	}
+}
+
+func checkSymv(uplo Uplo, n, lda, incX, incY int) {
+	if uplo != Upper && uplo != Lower {
+		panic("blas: invalid uplo")
+	}
+	if n < 0 {
+		panic("blas: negative symv dimension")
+	}
+	if lda < max(1, n) {
+		panic("blas: symv lda too small")
+	}
+	if incX == 0 || incY == 0 {
+		panic("blas: zero vector increment")
+	}
+}
+
 // lenGemvX returns the logical length of x for a gemv with the given
 // transpose setting.
 func lenGemvX(trans Transpose, m, n int) int {

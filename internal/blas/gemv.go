@@ -12,108 +12,22 @@ import "repro/internal/parallel"
 // length n). Fast paths require unit increments; strided vectors fall back
 // to the reference kernel.
 
-// OptDgemv computes y = alpha*op(A)*x + beta*y. Semantics match RefDgemv.
-func OptDgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
-	checkGemv(trans, m, n, lda, incX, incY)
-	if incX != 1 || incY != 1 {
-		RefDgemv(trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
-		return
-	}
-	lenY := lenGemvY(trans, m, n)
-	if lenY == 0 {
-		return
-	}
-	yv := y[:lenY]
-	if beta == 0 {
-		for i := range yv {
-			yv[i] = 0
-		}
-	} else if beta != 1 {
-		for i := range yv {
-			yv[i] *= beta
-		}
-	}
-	if alpha == 0 || lenGemvX(trans, m, n) == 0 {
-		return
-	}
-	p := getPool()
-	flops := 2 * int64(m) * int64(n)
-	if isTrans(trans) {
-		if p.Workers() == 1 || flops < parallelGrainFlops {
-			gemvT64(m, n, alpha, a, lda, x, yv)
-			return
-		}
-		p.For(n, func(_ int, r parallel.Range) {
-			gemvT64(m, r.Len(), alpha, a[r.Lo*lda:], lda, x, yv[r.Lo:])
-		})
-		return
-	}
-	if p.Workers() == 1 || flops < parallelGrainFlops {
-		gemvN64(m, n, alpha, a, lda, x, yv)
-		return
-	}
-	p.For(m, func(_ int, r parallel.Range) {
-		gemvN64(r.Len(), n, alpha, a[r.Lo:], lda, x, yv[r.Lo:r.Hi])
-	})
-}
-
-// gemvN64 computes y += alpha*A*x for an m-by-n block with unit strides,
-// four columns at a time.
-func gemvN64(m, n int, alpha float64, a []float64, lda int, x, y []float64) {
-	y = y[:m]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		x0 := alpha * x[j]
-		x1 := alpha * x[j+1]
-		x2 := alpha * x[j+2]
-		x3 := alpha * x[j+3]
-		c0 := a[j*lda : j*lda+m]
-		c1 := a[(j+1)*lda : (j+1)*lda+m]
-		c2 := a[(j+2)*lda : (j+2)*lda+m]
-		c3 := a[(j+3)*lda : (j+3)*lda+m]
-		for i := 0; i < m; i++ {
-			y[i] += x0*c0[i] + x1*c1[i] + x2*c2[i] + x3*c3[i]
-		}
-	}
-	for ; j < n; j++ {
-		xv := alpha * x[j]
-		if xv == 0 {
-			continue
-		}
-		col := a[j*lda : j*lda+m]
-		for i := 0; i < m; i++ {
-			y[i] += xv * col[i]
-		}
-	}
-}
-
-// gemvT64 computes y_j += alpha*dot(A[:,j], x) for n columns with unit
-// strides, with 4-way unrolled dot products.
-func gemvT64(m, n int, alpha float64, a []float64, lda int, x, y []float64) {
-	x = x[:m]
-	for j := 0; j < n; j++ {
-		col := a[j*lda : j*lda+m]
-		var s0, s1, s2, s3 float64
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			s0 += col[i] * x[i]
-			s1 += col[i+1] * x[i+1]
-			s2 += col[i+2] * x[i+2]
-			s3 += col[i+3] * x[i+3]
-		}
-		sum := (s0 + s1) + (s2 + s3)
-		for ; i < m; i++ {
-			sum += col[i] * x[i]
-		}
-		y[j] += alpha * sum
-	}
-}
-
 // OptSgemv computes y = alpha*op(A)*x + beta*y. Semantics match RefSgemv.
 func OptSgemv(trans Transpose, m, n int, alpha float32, a []float32, lda int, x []float32, incX int, beta float32, y []float32, incY int) {
 	checkGemv(trans, m, n, lda, incX, incY)
+	gemv(prec32, trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
+}
+
+// OptDgemv computes y = alpha*op(A)*x + beta*y. Semantics match RefDgemv.
+func OptDgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, incX int, beta float64, y []float64, incY int) {
+	checkGemv(trans, m, n, lda, incX, incY)
+	gemv(prec64, trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
+}
+
+// gemv computes y = alpha*op(A)*x + beta*y on validated arguments.
+func gemv[T float](pr *precision[T], trans Transpose, m, n int, alpha T, a []T, lda int, x []T, incX int, beta T, y []T, incY int) {
 	if incX != 1 || incY != 1 {
-		RefSgemv(trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
+		pr.refGemv(trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
 		return
 	}
 	lenY := lenGemvY(trans, m, n)
@@ -137,25 +51,26 @@ func OptSgemv(trans Transpose, m, n int, alpha float32, a []float32, lda int, x 
 	flops := 2 * int64(m) * int64(n)
 	if isTrans(trans) {
 		if p.Workers() == 1 || flops < parallelGrainFlops {
-			gemvT32(m, n, alpha, a, lda, x, yv)
+			gemvT(m, n, alpha, a, lda, x, yv)
 			return
 		}
 		p.For(n, func(_ int, r parallel.Range) {
-			gemvT32(m, r.Len(), alpha, a[r.Lo*lda:], lda, x, yv[r.Lo:])
+			gemvT(m, r.Len(), alpha, a[r.Lo*lda:], lda, x, yv[r.Lo:])
 		})
 		return
 	}
 	if p.Workers() == 1 || flops < parallelGrainFlops {
-		gemvN32(m, n, alpha, a, lda, x, yv)
+		gemvN(m, n, alpha, a, lda, x, yv)
 		return
 	}
 	p.For(m, func(_ int, r parallel.Range) {
-		gemvN32(r.Len(), n, alpha, a[r.Lo:], lda, x, yv[r.Lo:r.Hi])
+		gemvN(r.Len(), n, alpha, a[r.Lo:], lda, x, yv[r.Lo:r.Hi])
 	})
 }
 
-// gemvN32 computes y += alpha*A*x for an m-by-n block with unit strides.
-func gemvN32(m, n int, alpha float32, a []float32, lda int, x, y []float32) {
+// gemvN computes y += alpha*A*x for an m-by-n block with unit strides,
+// four columns at a time.
+func gemvN[T float](m, n int, alpha T, a []T, lda int, x, y []T) {
 	y = y[:m]
 	j := 0
 	for ; j+4 <= n; j += 4 {
@@ -183,12 +98,13 @@ func gemvN32(m, n int, alpha float32, a []float32, lda int, x, y []float32) {
 	}
 }
 
-// gemvT32 computes y_j += alpha*dot(A[:,j], x) for n columns.
-func gemvT32(m, n int, alpha float32, a []float32, lda int, x, y []float32) {
+// gemvT computes y_j += alpha*dot(A[:,j], x) for n columns with unit
+// strides, with 4-way unrolled dot products.
+func gemvT[T float](m, n int, alpha T, a []T, lda int, x, y []T) {
 	x = x[:m]
 	for j := 0; j < n; j++ {
 		col := a[j*lda : j*lda+m]
-		var s0, s1, s2, s3 float32
+		var s0, s1, s2, s3 T
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			s0 += col[i] * x[i]
