@@ -16,7 +16,6 @@
 //	POST /v1/threshold  routed by the threshold's canonical route key
 //	POST /v1/dispatch   routed by target system
 //	POST /v1/advise     routed by request digest (stateless spread)
-//	POST /v0/advise     deprecated alias, same routing as /v1/advise
 //	POST /cluster/v1/hello  membership messages (hello/leave/heartbeat)
 //	GET  /healthz       gateway liveness
 //	GET  /readyz        ready iff at least one replica is in the ring

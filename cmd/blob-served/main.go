@@ -11,9 +11,6 @@
 //	POST /v1/threshold  offload-threshold sweep (cached, deduplicated)
 //	POST /v1/dispatch   batched CPU/GPU routing through the per-system
 //	                    offload dispatcher (memoized, hysteresis-damped)
-//	POST /v0/advise     deprecated pre-envelope advise alias; answers
-//	                    with Deprecation + Link headers, removed next
-//	                    release
 //	GET  /healthz       liveness (is the process up)
 //	GET  /readyz        readiness (should the process receive traffic) —
 //	                    503 not_ready while draining and until the sweep

@@ -90,23 +90,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	writeEnvelope(w, status, SchemaAdvise, resp)
 }
 
-// handleAdviseV0 serves the deprecated /v0/advise alias: the same
-// computation with the pre-envelope bare bodies, kept readable for one
-// release. The Deprecation header points migrating clients at the
-// replacement.
-func (s *Server) handleAdviseV0(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/advise>; rel="successor-version"`)
-	resp, status, err := s.advise(r)
-	if err != nil {
-		writeJSON(w, status, legacyErrorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, status, resp)
-}
-
-// advise decodes, validates and evaluates one advise request; the two
-// handlers above only differ in how they serialise the outcome.
+// advise decodes, validates and evaluates one advise request, returning
+// the HTTP status to answer with alongside any error.
 func (s *Server) advise(r *http.Request) (AdviseResponse, int, error) {
 	var req AdviseRequest
 	if err := decodeJSON(r, &req); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -245,10 +244,9 @@ func TestDispatchBadRequests(t *testing.T) {
 	}
 }
 
-// TestAdviseDeprecationAlias pins both generations of the advise
-// contract: /v1/advise answers the enveloped form, /v0/advise still
-// serves the bare pre-envelope body (with a Deprecation header) so
-// un-migrated clients keep working for one release.
+// TestAdviseDeprecationAlias pins the advise contract after the
+// deprecation window: /v1/advise answers the enveloped form and the
+// retired pre-envelope /v0/advise alias answers 404.
 func TestAdviseDeprecationAlias(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := `{"systems":["dawn"],"calls":[{"kernel":"gemm","m":512,"n":512,"k":512,"precision":"f64","count":8,"movement":"once"}]}`
@@ -260,40 +258,13 @@ func TestAdviseDeprecationAlias(t *testing.T) {
 	}
 	var v1 AdviseResponse
 	decodeEnvelope(t, raw, SchemaAdvise, &v1)
+	if len(v1.Verdicts) != 1 {
+		t.Fatalf("v1 verdicts = %+v, want one", v1.Verdicts)
+	}
 
-	// v0: bare body, no envelope wrapper, Deprecation header set.
+	// The pre-envelope /v0/advise alias has been retired.
 	resp, raw = postJSON(t, ts.URL+"/v0/advise", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v0 status = %d, body %s", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("v0 alias must carry a Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/advise") {
-		t.Fatalf("v0 Link header %q should point at the successor", link)
-	}
-	if strings.Contains(raw, `"schema"`) {
-		t.Fatalf("v0 body must stay bare, got %s", raw)
-	}
-	var v0 AdviseResponse
-	if err := json.Unmarshal([]byte(raw), &v0); err != nil {
-		t.Fatalf("v0 body is not the legacy AdviseResponse: %v", err)
-	}
-	if len(v0.Verdicts) != 1 || v0.Verdicts[0].Offload != v1.Verdicts[0].Offload ||
-		math.Abs(v0.Verdicts[0].Speedup-v1.Verdicts[0].Speedup) > 0 {
-		t.Fatalf("v0 and v1 disagree:\n%+v\n%+v", v0.Verdicts, v1.Verdicts)
-	}
-
-	// v0 errors keep the legacy {"error": ...} shape too.
-	resp, raw = postJSON(t, ts.URL+"/v0/advise", `{"calls":[]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("v0 error status = %d", resp.StatusCode)
-	}
-	var legacy legacyErrorBody
-	if err := json.Unmarshal([]byte(raw), &legacy); err != nil || legacy.Error == "" {
-		t.Fatalf("v0 error body is not the legacy shape: %s", raw)
-	}
-	if strings.Contains(raw, `"schema"`) {
-		t.Fatalf("v0 error body must stay bare, got %s", raw)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("retired /v0/advise status = %d, body %s", resp.StatusCode, raw)
 	}
 }

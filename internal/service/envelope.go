@@ -21,8 +21,7 @@ import (
 // Retry-After is expressed in whole seconds in exactly two places — the
 // HTTP header and error.retry_after_s — and the two always agree (the
 // header is authoritative for proxies, the body for clients that only
-// read JSON). The legacy bare bodies remain readable for one release at
-// /v0/advise.
+// read JSON).
 
 // Schema tokens for the v1 envelope, one per response shape.
 const (

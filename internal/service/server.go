@@ -5,8 +5,7 @@
 // internal/offload's hysteresis dispatcher) from GPU-BLOB's calibrated
 // models, the way an automatic-offload runtime would consult them at
 // dispatch time. All v1 endpoints answer with the unified envelope
-// defined in envelope.go; the pre-envelope advise body remains readable
-// at the deprecated /v0/advise alias for one release.
+// defined in envelope.go.
 //
 // Threshold sweeps are expensive (a full sweep evaluates thousands of
 // problem sizes), so the service layers three defences in front of
@@ -289,9 +288,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/v1/advise", s.instrument("/v1/advise", s.recovered(s.requirePost(s.handleAdvise))))
 	mux.Handle("/v1/threshold", s.instrument("/v1/threshold", s.recovered(s.requirePost(s.handleThreshold))))
 	mux.Handle("/v1/dispatch", s.instrument("/v1/dispatch", s.recovered(s.requirePost(s.handleDispatch))))
-	// Deprecated alias: the pre-envelope advise contract, kept readable
-	// for one release so clients can migrate to the v1 envelope.
-	mux.Handle("/v0/advise", s.instrument("/v0/advise", s.recovered(s.requirePost(s.handleAdviseV0))))
 	mux.Handle("/healthz", s.instrument("/healthz", s.recovered(http.HandlerFunc(s.handleHealthz))))
 	mux.Handle("/readyz", s.instrument("/readyz", s.recovered(http.HandlerFunc(s.handleReadyz))))
 	mux.Handle("/metrics", s.instrument("/metrics", s.recovered(http.HandlerFunc(s.handleMetrics))))
@@ -413,13 +409,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.metrics.WriteTo(w); err != nil {
 		s.log.Warn("metrics write failed", "err", err)
 	}
-}
-
-// legacyErrorBody is the pre-envelope error shape, still served on the
-// deprecated /v0/advise alias for one release.
-type legacyErrorBody struct {
-	Error  string `json:"error"`
-	Reason string `json:"reason,omitempty"`
 }
 
 // writeError writes the unified v1 error envelope with a generic code

@@ -174,7 +174,7 @@ func TestAdviseBadRequests(t *testing.T) {
 
 func TestPostOnlyEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	for _, path := range []string{"/v1/advise", "/v1/threshold", "/v1/dispatch", "/v0/advise"} {
+	for _, path := range []string{"/v1/advise", "/v1/threshold", "/v1/dispatch"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
