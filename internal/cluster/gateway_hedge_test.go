@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -219,37 +218,36 @@ func TestGatewayDeadlineExhausted(t *testing.T) {
 
 // TestGatewayHedgeOverhead: arming hedging must be free when nothing is
 // slow — the timer is the only addition to the happy path, and it never
-// fires against a healthy cached shard. Same SLO as
-// TestGatewayRouteOverhead: p99 < 1ms over a warmed shard.
+// fires against a healthy cached shard. A hedge-armed gateway, an
+// unarmed one and the owner replica itself are sampled interleaved on
+// the same box; the armed gateway must match the unarmed one and stay
+// within TestGatewayRouteOverhead's bound of the direct path.
 func TestGatewayHedgeOverhead(t *testing.T) {
 	if raceEnabled {
-		t.Skip("latency SLO is calibrated without race-detector instrumentation; hedging behaviour is covered by TestGatewayHedgeWin")
+		t.Skip("latency ratio is calibrated without race-detector instrumentation; hedging behaviour is covered by TestGatewayHedgeWin")
 	}
 	nodes := startCluster(t, 3)
-	_, ts := startGatewayOpts(t, nodes, GatewayOptions{Hedge: true})
-	body := mustMarshal(t, thresholdReq(64))
-
-	const warm, reps = 20, 200
-	lat := make([]float64, 0, reps)
-	for i := 0; i < warm+reps; i++ {
-		began := time.Now()
-		resp := postJSON(t, ts.URL+"/v1/threshold", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("rep %d: status %d", i, resp.StatusCode)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if i >= warm {
-			lat = append(lat, time.Since(began).Seconds())
-		}
+	_, armed := startGatewayOpts(t, nodes, GatewayOptions{Hedge: true})
+	_, unarmed := startGateway(t, nodes)
+	req, _ := reqOwnedBy(t, nodes[0].node.Pool().Ring(), nodes[0].name)
+	lat := interleavedLatencies(t, mustMarshal(t, req), nodes[0].ts.URL, unarmed.URL, armed.URL)
+	direct, plain, hedged := quantile(lat[0], 0.5), quantile(lat[1], 0.5), quantile(lat[2], 0.5)
+	t.Logf("p50/p99: direct %.3f/%.3fms, unarmed %.3f/%.3fms, hedging-armed %.3f/%.3fms",
+		direct*1e3, quantile(lat[0], 0.99)*1e3, plain*1e3, quantile(lat[1], 0.99)*1e3,
+		hedged*1e3, quantile(lat[2], 0.99)*1e3)
+	if r := hedged / plain; r > maxHedgeRatio {
+		t.Errorf("hedging-armed p50 is %.2fx the unarmed p50, want <= %.1fx", r, maxHedgeRatio)
 	}
-	sort.Float64s(lat)
-	p99 := lat[len(lat)*99/100]
-	t.Logf("hedging-armed route overhead: p50 %.3fms p99 %.3fms", lat[len(lat)/2]*1e3, p99*1e3)
-	if p99 >= 1e-3 {
-		t.Errorf("hedging-armed routing p99 %.3fms, SLO < 1ms", p99*1e3)
+	if r := hedged / direct; r > maxRouteRatio {
+		t.Errorf("hedging-armed p50 is %.1fx the direct p50, want <= %.0fx", r, maxRouteRatio)
 	}
 }
+
+// maxHedgeRatio bounds hedge-armed over unarmed gateway p50. Both take
+// the same path; arming the hedge timer costs a few tens of microseconds
+// (a ratio near 1.3), while a millisecond of extra work on the hedged
+// path pushes it past 4.
+const maxHedgeRatio = 2.0
 
 // syncString is a tiny typed wrapper so tests can record a header
 // from a handler goroutine without a data race.

@@ -244,6 +244,12 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+	// The retired pre-envelope advise alias is not routed.
+	resp := postJSON(t, ts.URL+"/v0/advise", []byte(`{"calls":[]}`))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v0/advise: status %d, want 404", resp.StatusCode)
+	}
+	resp.Body.Close()
 	if got := nodes[0].sweeps.Load(); got != 0 {
 		t.Fatalf("bad requests reached a replica backend (%d sweeps)", got)
 	}
@@ -284,41 +290,70 @@ func TestGatewayHealthAndReady(t *testing.T) {
 	}
 }
 
-// TestGatewayRouteOverhead is the cluster/route-overhead SLO in test
+// TestGatewayRouteOverhead is the cluster/route-overhead check in test
 // form: routing a request to a replica whose cache already holds the
-// shard must cost under 1ms at the p99, in-process. The benchmark
-// suite records the same path in BENCH artifacts.
+// shard must cost no more than a small multiple of asking that replica
+// directly. The two paths are sampled interleaved on the same box, so a
+// loaded host slows both alike and only the ratio is asserted; the
+// absolute latencies are logged here and recorded by the cluster bench
+// cases and the cluster-serve workload.
 func TestGatewayRouteOverhead(t *testing.T) {
 	if raceEnabled {
-		t.Skip("latency SLO is calibrated without race-detector instrumentation; routing behaviour is covered by the other gateway tests")
+		t.Skip("latency ratio is calibrated without race-detector instrumentation; routing behaviour is covered by the other gateway tests")
 	}
 	nodes := startCluster(t, 3)
 	_, ts := startGateway(t, nodes)
-	body := mustMarshal(t, thresholdReq(64))
+	req, _ := reqOwnedBy(t, nodes[0].node.Pool().Ring(), nodes[0].name)
+	lat := interleavedLatencies(t, mustMarshal(t, req), nodes[0].ts.URL, ts.URL)
+	direct, routed := lat[0], lat[1]
+	t.Logf("direct to owner: p50 %.3fms p99 %.3fms; via gateway: p50 %.3fms p99 %.3fms",
+		quantile(direct, 0.5)*1e3, quantile(direct, 0.99)*1e3,
+		quantile(routed, 0.5)*1e3, quantile(routed, 0.99)*1e3)
+	if r := quantile(routed, 0.5) / quantile(direct, 0.5); r > maxRouteRatio {
+		t.Errorf("gateway p50 is %.1fx the direct p50, want <= %.0fx", r, maxRouteRatio)
+	}
+}
 
+// maxRouteRatio bounds gateway p50 over direct-to-owner p50. The gateway
+// adds one loopback hop in front of the replica, so the healthy ratio
+// sits near 2; a millisecond of extra work on the routing path pushes it
+// past 5.
+const maxRouteRatio = 4.0
+
+// interleavedLatencies posts body to /v1/threshold at each base URL in
+// turn, round-robin, so every target is sampled under the same host
+// load, and returns each target's sorted latencies in seconds. Every
+// answer must be 200. Warm-up rounds fill caches and keep-alive pools
+// and are not recorded.
+func interleavedLatencies(t *testing.T, body []byte, urls ...string) [][]float64 {
+	t.Helper()
 	const warm, reps = 20, 200
-	lat := make([]float64, 0, reps)
+	lat := make([][]float64, len(urls))
 	for i := 0; i < warm+reps; i++ {
-		began := time.Now()
-		resp := postJSON(t, ts.URL+"/v1/threshold", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("rep %d: status %d", i, resp.StatusCode)
-		}
-		// Drain so the keep-alive connection is reused; otherwise every
-		// rep pays a fresh dial and the tail measures TCP, not routing.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if i >= warm {
-			lat = append(lat, time.Since(began).Seconds())
+		for u, url := range urls {
+			began := time.Now()
+			resp := postJSON(t, url+"/v1/threshold", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s rep %d: status %d", url, i, resp.StatusCode)
+			}
+			// Drain so the keep-alive connection is reused; otherwise every
+			// rep pays a fresh dial and the tail measures TCP, not routing.
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if i >= warm {
+				lat[u] = append(lat[u], time.Since(began).Seconds())
+			}
 		}
 	}
-	sort.Float64s(lat)
-	p50 := lat[len(lat)/2]
-	p99 := lat[len(lat)*99/100]
-	t.Logf("route overhead over a cached shard: p50 %.3fms p99 %.3fms", p50*1e3, p99*1e3)
-	if p99 >= 1e-3 {
-		t.Errorf("gateway routing p99 %.3fms, SLO < 1ms", p99*1e3)
+	for _, l := range lat {
+		sort.Float64s(l)
 	}
+	return lat
+}
+
+// quantile returns the q-quantile of sorted latencies.
+func quantile(sorted []float64, q float64) float64 {
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 func getBody(t *testing.T, url string) string {
