@@ -24,25 +24,29 @@
 #                      docs/ go fences must parse, docs/ pages must
 #                      match the wire contract, benchmark index must
 #                      match the registry)
-#   5. fidelity      — the model-fidelity gate (DESIGN.md §15): purely
+#   5. perfbench     — vet and test the benchmark driver (perfbench/),
+#                      a separate module outside the root go test ./...,
+#                      so an API change it depends on fails here rather
+#                      than only when the benchmark runs
+#   6. fidelity      — the model-fidelity gate (DESIGN.md §15): purely
 #                      deterministic checks over the committed
 #                      bench_data/ efficiency tables — leave-one-out
 #                      interpolation for the measured CPU table, a
 #                      reference-model comparison for the synthetic GPU
 #                      table — with no kernel re-runs; refreshes the
 #                      FIDELITY.md report
-#   6. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
+#   7. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
 #                      the advisor trace CSV, the fault-plan JSON, the
 #                      config hash that keys the service cache, the
 #                      strict blob-vet baseline/report JSON parser, the
 #                      cluster membership wire messages + threshold
 #                      route key (DESIGN.md §16), and the netfault plan
 #                      JSON (DESIGN.md §17)
-#   7. blob-bench    — smoke run of the standardized benchmark suite
+#   8. blob-bench    — smoke run of the standardized benchmark suite
 #                      (tiny sizes, one interleaved repetition): proves
 #                      every case still prepares, runs and serializes
 #                      to a valid BENCH_*.json
-#   8. blob-soak     — short overload soak of the admission-control
+#   9. blob-soak     — short overload soak of the admission-control
 #                      layer (DESIGN.md §12): sustained 4x-capacity load
 #                      plus the chaos profile, asserting the shed SLOs,
 #                      goroutine hygiene after drain, and that verdicts
@@ -60,7 +64,7 @@
 #                      peer and corrupted bodies, asserting byte-identical
 #                      verdict digests vs an unfaulted replay, at least
 #                      one hedge win, and no hung requests (DESIGN.md §17)
-#   9. go test -race — concurrency-sensitive packages under the race
+#  10. go test -race — concurrency-sensitive packages under the race
 #                      detector: the worker pool, the harness, the
 #                      multi-threaded BLAS kernels, the advisor
 #                      service (cache / singleflight / worker pool),
@@ -68,7 +72,7 @@
 #                      the resilience layer (retry / breaker / fault
 #                      injection), the network-fault layer, and the
 #                      cluster ring / pool / gateway (hedging included)
-#  10. chaos         — the seeded fault-injection gate: the chaos tests
+#  11. chaos         — the seeded fault-injection gate: the chaos tests
 #                      re-run under the race detector with a fixed seed,
 #                      proving a sweep under a 30%-transient fault plan
 #                      still converges to fault-free verdicts and that
@@ -107,6 +111,11 @@ end
 
 begin "go test (-shuffle=on)"
 go test -shuffle=on ./...
+end
+
+begin "perfbench (separate module: vet + test)"
+go -C perfbench vet ./...
+go -C perfbench test ./...
 end
 
 begin "blob-calibrate fidelity (model-fidelity gate, no kernel re-runs)"
