@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/sim/systems"
 )
 
@@ -81,5 +83,30 @@ func TestRunProblemNilContext(t *testing.T) {
 	ser, err := RunProblem(nil, systems.IsambardAI(), pt, F64, cfg)
 	if err != nil || len(ser.Samples) == 0 {
 		t.Fatalf("nil ctx: %v", err)
+	}
+}
+
+// TestRunProblemCancelledDuringBackoff: the sweep checks its context once
+// per sample, not before every backend attempt, so a cancellation that
+// lands while a retrying call backs off must still abort the sweep — the
+// backoff itself returns the context's error.
+func TestRunProblemCancelledDuringBackoff(t *testing.T) {
+	pt := GemmProblems[0]
+	cfg := testConfig(1)
+	cfg.Validate.Enabled = false
+	cfg.Resilience = Resilience{MaxAttempts: 1000, BaseDelay: time.Hour}
+	sys := systems.DAWN()
+	sys.GPU.Inject = (&faultinject.Plan{Rules: []faultinject.Rule{
+		{Backend: faultinject.BackendGPU, Probability: 1, Kind: faultinject.Transient},
+	}}).Arm()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(10*time.Millisecond, cancel)
+	ser, err := RunProblem(ctx, sys, pt, F32, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ser != nil {
+		t.Fatal("cancelled sweep returned a series")
 	}
 }

@@ -101,18 +101,21 @@ func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 // policy's attempt budget with full-jitter backoff between attempts. It
 // returns nil on the first success, the last error when attempts are
 // exhausted or the error is not retryable, and ctx's error when the
-// context ends first. onRetry, when non-nil, observes each failed attempt
-// that will be retried (attempt is 1-based) — core uses it to record
-// per-size failure counts.
+// context ends during a backoff. onRetry, when non-nil, observes each
+// failed attempt that will be retried (attempt is 1-based) — core uses
+// it to record per-size failure counts.
+//
+// The context is consulted only between attempts, never before the
+// first: a caller that runs many cheap operations checks ctx once per
+// unit of work itself (core checks once per sample), and a cancelled
+// context still stops every retry, because the backoff returns its
+// error.
 func Do(ctx context.Context, p RetryPolicy, fn func() error, onRetry func(attempt int, err error)) error {
 	attempts := p.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		err := fn()
 		if err == nil {
 			return nil

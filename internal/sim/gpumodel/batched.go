@@ -26,15 +26,11 @@ func (g *Model) GemmBatchedSeconds(s xfer.Strategy, elemSize, m, n, k, batch int
 	if g.Lib.GemmQuirk != nil {
 		gf = math.Max(g.Lib.GemmQuirk(elemSize, m, n, k, gf), 1e-6)
 	}
-	computeUS := g.kernelUS(elemSize, flTotal, devBytes, gf) * float64(iters)
 	toDev, fromDev := xfer.GemmBytes(elemSize, m, n, k)
-	toDev *= int64(batch)
-	fromDev *= int64(batch)
-	var moveUS float64
-	if s == xfer.Unified {
-		moveUS = g.USM.MoveSeconds(g.Link, toDev, fromDev, iters) * 1e6
-	} else {
-		moveUS = g.transferUS(s, toDev, fromDev, iters)
-	}
-	return (computeUS + moveUS) * 1e-6
+	return g.Seconds(Breakdown{
+		KernelUS: g.kernelUS(elemSize, flTotal, devBytes, gf) * float64(iters),
+		ToDev:    toDev * int64(batch),
+		FromDev:  fromDev * int64(batch),
+		Iters:    iters,
+	}, s)
 }

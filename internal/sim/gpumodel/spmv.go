@@ -24,13 +24,10 @@ func (g *Model) SpmvSeconds(s xfer.Strategy, storageBytes int64, rows int, irreg
 	bw := g.GPU.HBMGBs * irregularity * math.Min(occ/0.25, 1)
 	devBytes := storageBytes + int64(rows)*16
 	kernelUS := g.GPU.LaunchLatencyUS + g.Lib.SyncPerIterUS + float64(devBytes)/(bw*1e3)
-	toDev := storageBytes + int64(rows)*8 // matrix + x
-	fromDev := int64(rows) * 8            // y
-	var moveUS float64
-	if s == xfer.Unified {
-		moveUS = g.USM.MoveSeconds(g.Link, toDev, fromDev, iters) * 1e6
-	} else {
-		moveUS = g.transferUS(s, toDev, fromDev, iters)
-	}
-	return (kernelUS*float64(iters) + moveUS) * 1e-6
+	return g.Seconds(Breakdown{
+		KernelUS: kernelUS * float64(iters),
+		ToDev:    storageBytes + int64(rows)*8, // matrix + x
+		FromDev:  int64(rows) * 8,              // y
+		Iters:    iters,
+	}, s)
 }
