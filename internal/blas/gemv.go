@@ -60,17 +60,19 @@ func gemv[T float](pr *precision[T], trans Transpose, m, n int, alpha T, a []T, 
 		return
 	}
 	if p.Workers() == 1 || flops < parallelGrainFlops {
-		gemvN(m, n, alpha, a, lda, x, yv)
+		gemvN(pr, m, n, alpha, a, lda, x, yv)
 		return
 	}
 	p.For(m, func(_ int, r parallel.Range) {
-		gemvN(r.Len(), n, alpha, a[r.Lo:], lda, x, yv[r.Lo:r.Hi])
+		gemvN(pr, r.Len(), n, alpha, a[r.Lo:], lda, x, yv[r.Lo:r.Hi])
 	})
 }
 
 // gemvN computes y += alpha*A*x for an m-by-n block with unit strides,
-// four columns at a time.
-func gemvN[T float](m, n int, alpha T, a []T, lda int, x, y []T) {
+// four columns at a time through the descriptor's column kernel; the
+// portable kernel finishes the rows past the column kernel's vector
+// prefix.
+func gemvN[T float](pr *precision[T], m, n int, alpha T, a []T, lda int, x, y []T) {
 	y = y[:m]
 	j := 0
 	for ; j+4 <= n; j += 4 {
@@ -78,12 +80,9 @@ func gemvN[T float](m, n int, alpha T, a []T, lda int, x, y []T) {
 		x1 := alpha * x[j+1]
 		x2 := alpha * x[j+2]
 		x3 := alpha * x[j+3]
-		c0 := a[j*lda : j*lda+m]
-		c1 := a[(j+1)*lda : (j+1)*lda+m]
-		c2 := a[(j+2)*lda : (j+2)*lda+m]
-		c3 := a[(j+3)*lda : (j+3)*lda+m]
-		for i := 0; i < m; i++ {
-			y[i] += x0*c0[i] + x1*c1[i] + x2*c2[i] + x3*c3[i]
+		cols := a[j*lda:]
+		if done := pr.gemvCols4(m, x0, x1, x2, x3, cols, lda, y); done < m {
+			gemvCols4(m-done, x0, x1, x2, x3, cols[done:], lda, y[done:])
 		}
 	}
 	for ; j < n; j++ {

@@ -5,11 +5,17 @@ package blas
 //
 //   - the GEMM blocking: mc x kc panels of A, kc x nc panels of B, and the
 //     mr x nr register tile;
-//   - the register micro-kernel that computes one mr x nr tile;
+//   - the register micro-kernel that computes one mr x nr tile, and the
+//     column kernel of the GEMV NoTrans driver;
 //   - the reference kernels the optimized ones fall back to: GEMV, GER
 //     and SYMV for strided or small calls, and TRSM/TRMM/SYRK/SYMM at the
 //     leaves of the level-3 recursion. Ref* stays per precision because
 //     it is the test oracle.
+//
+// Each precision has two descriptors. The portable one runs pure-Go
+// leaves anywhere. The SIMD one (kernel_amd64.go) swaps in AVX2/FMA
+// assembly leaves with their own register tiles. Which one the exported
+// kernels use is decided once at start-up, by the CPU probe alone.
 
 // float is the element type set of the optimized kernels.
 type float interface{ float32 | float64 }
@@ -22,6 +28,11 @@ type precision[T float] struct {
 	// of one mr-wide packed A panel and one nr-wide packed B panel, each
 	// kc rows deep.
 	microKernel func(kc int, ap, bp, acc []T)
+	// gemvCols4 adds x0*c0 + x1*c1 + x2*c2 + x3*c3 to y[:m], where c_j is
+	// column j of a (leading dimension lda), over the longest prefix of
+	// the m rows its vector width covers, and returns that prefix's
+	// length; gemvN finishes the rows after it.
+	gemvCols4 func(m int, x0, x1, x2, x3 T, a []T, lda int, y []T) int
 
 	refGemv func(trans Transpose, m, n int, alpha T, a []T, lda int, x []T, incX int, beta T, y []T, incY int)
 	refGer  func(m, n int, alpha T, x []T, incX int, y []T, incY int, a []T, lda int)
@@ -32,21 +43,47 @@ type precision[T float] struct {
 	refSymm func(side Side, uplo Uplo, m, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
 }
 
-// prec32 uses a wider 8x4 tile than prec64: float32 halves the register
-// footprint, so the tile doubles in M to raise arithmetic intensity per
-// packed-panel load, and the A panel doubles with it.
-var prec32 = &precision[float32]{
+// portable32 uses a wider 8x4 tile than portable64: float32 halves the
+// register footprint, so the tile doubles in M to raise arithmetic
+// intensity per packed-panel load, and the A panel doubles with it.
+var portable32 = &precision[float32]{
 	mc: 256, kc: 256, nc: 1024, mr: 8, nr: 4,
-	microKernel: microKernel8x4,
-	refGemv:     RefSgemv, refGer: RefSger, refSymv: RefSsymv,
+	microKernel: microKernel8x4, gemvCols4: gemvCols4[float32],
+	refGemv: RefSgemv, refGer: RefSger, refSymv: RefSsymv,
 	refTrsm: RefStrsm, refTrmm: RefStrmm, refSyrk: RefSsyrk, refSymm: RefSsymm,
 }
 
-var prec64 = &precision[float64]{
+var portable64 = &precision[float64]{
 	mc: 128, kc: 256, nc: 1024, mr: 4, nr: 4,
-	microKernel: microKernel4x4,
-	refGemv:     RefDgemv, refGer: RefDger, refSymv: RefDsymv,
+	microKernel: microKernel4x4, gemvCols4: gemvCols4[float64],
+	refGemv: RefDgemv, refGer: RefDger, refSymv: RefDsymv,
 	refTrsm: RefDtrsm, refTrmm: RefDtrmm, refSyrk: RefDsyrk, refSymm: RefDsymm,
+}
+
+// prec32 and prec64 are the descriptors the exported kernels run: the
+// SIMD ones when the CPU can run them, the portable ones otherwise.
+var prec32, prec64 = selectPrecisions()
+
+func selectPrecisions() (*precision[float32], *precision[float64]) {
+	if s, d, ok := simdPrecisions(); ok {
+		return s, d
+	}
+	return portable32, portable64
+}
+
+// gemvCols4 is the portable GEMV column kernel; it covers all m rows.
+//
+//blobvet:hotpath
+func gemvCols4[T float](m int, x0, x1, x2, x3 T, a []T, lda int, y []T) int {
+	y = y[:m]
+	c0 := a[:m]
+	c1 := a[lda : lda+m]
+	c2 := a[2*lda : 2*lda+m]
+	c3 := a[3*lda : 3*lda+m]
+	for i := range y {
+		y[i] += x0*c0[i] + x1*c1[i] + x2*c2[i] + x3*c3[i]
+	}
+	return m
 }
 
 // microKernel4x4 is the float64 micro-kernel: all sixteen accumulators
