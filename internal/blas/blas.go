@@ -1,5 +1,7 @@
 // Package blas implements the Basic Linear Algebra Subprograms used by
-// GPU-BLOB-Go, in pure Go, for float32 and float64.
+// GPU-BLOB-Go, in Go, for float32 and float64. On amd64 CPUs with AVX2
+// and FMA, the GEMM micro-kernels and the GEMV column kernel are
+// assembly (kernel_amd64.s); everywhere else every kernel is pure Go.
 //
 // Two implementations of every kernel are provided:
 //

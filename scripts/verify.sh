@@ -8,15 +8,20 @@
 # attributable without scrolling).
 #
 #   1. go build      — everything compiles
-#   2. go vet        — stock Go static analysis
-#   3. blob-vet      — this repo's own analyzers (see internal/analysis):
+#   2. go vet        — stock Go static analysis (its asmdecl check covers
+#                      the amd64 assembly in internal/blas)
+#   3. arm64 build   — cross-build everything and vet internal/blas for
+#                      linux/arm64, so the portable BLAS fallback that
+#                      non-amd64 builds get (kernel_other.go) cannot rot
+#                      on an amd64 host; runs offline
+#   4. blob-vet      — this repo's own analyzers (see internal/analysis):
 #                      kernelargcheck, floatcompare, goroutinehygiene,
 #                      determinism, pkgdoc, ctxflow, locksafety,
 #                      hotalloc, errcontract. Error findings and
 #                      unbaselined warns fail the gate; the run also
 #                      writes blobvet.sarif (SARIF 2.1.0) as a CI
 #                      artifact for code-scanning renderers
-#   4. go test       — full test suite, shuffled (-shuffle=on with a
+#   5. go test       — full test suite, shuffled (-shuffle=on with a
 #                      fixed seed, so inter-test ordering dependencies
 #                      surface deterministically; includes the blob-vet
 #                      self-check in internal/analysis/suite_test.go and
@@ -24,29 +29,29 @@
 #                      docs/ go fences must parse, docs/ pages must
 #                      match the wire contract, benchmark index must
 #                      match the registry)
-#   5. perfbench     — vet and test the benchmark driver (perfbench/),
+#   6. perfbench     — vet and test the benchmark driver (perfbench/),
 #                      a separate module outside the root go test ./...,
 #                      so an API change it depends on fails here rather
 #                      than only when the benchmark runs
-#   6. fidelity      — the model-fidelity gate (DESIGN.md §15): purely
+#   7. fidelity      — the model-fidelity gate (DESIGN.md §15): purely
 #                      deterministic checks over the committed
 #                      bench_data/ efficiency tables — leave-one-out
 #                      interpolation for the measured CPU table, a
 #                      reference-model comparison for the synthetic GPU
 #                      table — with no kernel re-runs; refreshes the
 #                      FIDELITY.md report
-#   7. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
+#   8. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
 #                      the advisor trace CSV, the fault-plan JSON, the
 #                      config hash that keys the service cache, the
 #                      strict blob-vet baseline/report JSON parser, the
 #                      cluster membership wire messages + threshold
 #                      route key (DESIGN.md §16), and the netfault plan
 #                      JSON (DESIGN.md §17)
-#   8. blob-bench    — smoke run of the standardized benchmark suite
+#   9. blob-bench    — smoke run of the standardized benchmark suite
 #                      (tiny sizes, one interleaved repetition): proves
 #                      every case still prepares, runs and serializes
 #                      to a valid BENCH_*.json
-#   9. blob-soak     — short overload soak of the admission-control
+#  10. blob-soak     — short overload soak of the admission-control
 #                      layer (DESIGN.md §12): sustained 4x-capacity load
 #                      plus the chaos profile, asserting the shed SLOs,
 #                      goroutine hygiene after drain, and that verdicts
@@ -64,7 +69,7 @@
 #                      peer and corrupted bodies, asserting byte-identical
 #                      verdict digests vs an unfaulted replay, at least
 #                      one hedge win, and no hung requests (DESIGN.md §17)
-#  10. go test -race — concurrency-sensitive packages under the race
+#  11. go test -race — concurrency-sensitive packages under the race
 #                      detector: the worker pool, the harness, the
 #                      multi-threaded BLAS kernels, the advisor
 #                      service (cache / singleflight / worker pool),
@@ -72,7 +77,7 @@
 #                      the resilience layer (retry / breaker / fault
 #                      injection), the network-fault layer, and the
 #                      cluster ring / pool / gateway (hedging included)
-#  11. chaos         — the seeded fault-injection gate: the chaos tests
+#  12. chaos         — the seeded fault-injection gate: the chaos tests
 #                      re-run under the race detector with a fixed seed,
 #                      proving a sweep under a 30%-transient fault plan
 #                      still converges to fault-free verdicts and that
@@ -103,6 +108,10 @@ end
 
 begin "go vet"
 go vet ./...
+end
+
+begin "arm64 fallback (cross build + vet internal/blas)"
+GOOS=linux GOARCH=arm64 go build ./... && GOOS=linux GOARCH=arm64 go vet ./internal/blas
 end
 
 begin "blob-vet"
