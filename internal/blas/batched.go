@@ -79,7 +79,7 @@ func gemmBatched[T float](pr *precision[T], items []gemmBatchItem[T]) {
 	p := getPool()
 	run := func(it *gemmBatchItem[T]) {
 		if scaleC(it.M, it.N, it.K, it.Alpha, it.Beta, it.C, it.Ldc) {
-			gemmSerial(pr, it.TransA, it.TransB, it.M, it.N, it.K, it.Alpha, it.A, it.Lda, it.B, it.Ldb, it.C, it.Ldc)
+			gemmSerial(pr, it.TransA, it.TransB, it.M, it.N, it.K, it.Alpha, it.A, it.Lda, it.B, it.Ldb, it.Beta, it.C, it.Ldc)
 		}
 	}
 	if p.Workers() == 1 || len(items) == 1 {

@@ -1,7 +1,10 @@
 // Package blas implements the Basic Linear Algebra Subprograms used by
-// GPU-BLOB-Go, in Go, for float32 and float64. On amd64 CPUs with AVX2
-// and FMA, the GEMM micro-kernels and the GEMV column kernel are
-// assembly (kernel_amd64.s); everywhere else every kernel is pure Go.
+// GPU-BLOB-Go, in Go, for float32 and float64. Each precision has three
+// descriptors (precision.go), and a CPUID probe picks one at start-up: on
+// amd64 CPUs with AVX512F the GEMM micro-kernels are AVX-512 assembly, on
+// those with only AVX2 and FMA they are AVX2 assembly (kernel_amd64.s),
+// and the GEMV column kernel is AVX2 assembly on both; everywhere else
+// every kernel is pure Go.
 //
 // Two implementations of every kernel are provided:
 //

@@ -45,11 +45,19 @@ func kernels64(name string, pr *precision[float64]) precisionKernels[float64] {
 
 // testKernels lists every descriptor this host can run, named as its
 // subtests are: the active one, which the exported entry points use, as
-// "f32" and "f64", and the portable fallback as "f32-portable" and
-// "f64-portable" when the CPU probe picked the SIMD leaves instead.
+// "f32" and "f64"; each other SIMD descriptor the CPU probe allows as
+// "f32-<name>" and "f64-<name>" (for example "f32-avx2" when the AVX-512
+// leaves are active); and the portable fallback as "f32-portable" and
+// "f64-portable" when the probe picked SIMD leaves instead.
 func testKernels() ([]precisionKernels[float32], []precisionKernels[float64]) {
 	ks32 := []precisionKernels[float32]{kernels32("f32", prec32)}
 	ks64 := []precisionKernels[float64]{kernels64("f64", prec64)}
+	for _, l := range simdPrecisions() {
+		if l.ok && l.p32 != prec32 {
+			ks32 = append(ks32, kernels32("f32-"+l.name, l.p32))
+			ks64 = append(ks64, kernels64("f64-"+l.name, l.p64))
+		}
+	}
 	if prec32 != portable32 {
 		ks32 = append(ks32, kernels32("f32-portable", portable32))
 		ks64 = append(ks64, kernels64("f64-portable", portable64))
@@ -365,8 +373,8 @@ func assertClose[T float32 | float64](t *testing.T, what string, got, want []T) 
 }
 
 // TestPrecisionTiles pins each precision descriptor's tiles, and checks
-// that the exported kernels run the SIMD descriptors exactly when the CPU
-// probe allows them.
+// that the exported kernels run the widest SIMD descriptors the CPU probe
+// allows, or the portable ones when it allows none.
 func TestPrecisionTiles(t *testing.T) {
 	check := func(what string, got, want tileEdges) {
 		t.Helper()
@@ -379,12 +387,25 @@ func TestPrecisionTiles(t *testing.T) {
 	}
 	check("portable float32", edgesOf(portable32), tileEdges{mr: 8, nr: 4, mc: 256, kc: 256, nc: 1024})
 	check("portable float64", edgesOf(portable64), tileEdges{mr: 4, nr: 4, mc: 128, kc: 256, nc: 1024})
-	s, d, ok := simdPrecisions()
-	if s != nil {
-		check("SIMD float32", edgesOf(s), tileEdges{mr: 16, nr: 6, mc: 256, kc: 256, nc: 1026})
-		check("SIMD float64", edgesOf(d), tileEdges{mr: 8, nr: 6, mc: 128, kc: 256, nc: 1026})
+	want := map[string][2]tileEdges{
+		"avx512": {{mr: 32, nr: 12, mc: 256, kc: 256, nc: 1032}, {mr: 16, nr: 12, mc: 128, kc: 256, nc: 1032}},
+		"avx2":   {{mr: 16, nr: 6, mc: 256, kc: 256, nc: 1026}, {mr: 8, nr: 6, mc: 128, kc: 256, nc: 1026}},
 	}
-	if wantSIMD := s != nil && ok; (prec32 != portable32) != wantSIMD || (prec64 != portable64) != wantSIMD {
-		t.Errorf("exported kernels run SIMD leaves %v/%v, probe allows %v", prec32 != portable32, prec64 != portable64, wantSIMD)
+	active32, active64 := portable32, portable64
+	for _, l := range simdPrecisions() {
+		w, ok := want[l.name]
+		if !ok {
+			t.Errorf("unpinned SIMD descriptor %q", l.name)
+			continue
+		}
+		check(l.name+" float32", edgesOf(l.p32), w[0])
+		check(l.name+" float64", edgesOf(l.p64), w[1])
+		if l.ok && active32 == portable32 {
+			active32, active64 = l.p32, l.p64
+		}
+	}
+	if prec32 != active32 || prec64 != active64 {
+		t.Errorf("exported kernels run tiles %+v/%+v, probe allows %+v/%+v",
+			edgesOf(prec32), edgesOf(prec64), edgesOf(active32), edgesOf(active64))
 	}
 }

@@ -13,7 +13,10 @@ import "repro/internal/parallel"
 // Packing rearranges panels so the micro-kernel streams both operands
 // contiguously, and absorbs transposition: packing op(A) and op(B) makes the
 // inner loops transpose-free. Partial edge tiles are zero-padded in the
-// packed buffers, so the micro-kernel is branch-free; stores clip to C.
+// packed buffers, so the micro-kernel is branch-free. The micro-kernel
+// owns C, BLIS-style: it computes C = alpha*A*B + beta*C on one tile and
+// writes full tiles straight into C; only the tiles clipped by the edges
+// of C go through a tile buffer.
 
 // OptSgemm computes C = alpha*op(A)*op(B) + beta*C with cache blocking and
 // multi-threading. Semantics match RefSgemm exactly.
@@ -44,7 +47,7 @@ func gemm[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alph
 	p := getPool()
 	flops := 2 * int64(m) * int64(n) * int64(k)
 	if p.Workers() == 1 || flops < parallelGrainFlops {
-		gemmSerial(pr, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		gemmSerial(pr, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
 	// Split the larger output dimension across workers; each worker runs the
@@ -55,7 +58,7 @@ func gemm[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alph
 			if isTrans(transB) {
 				bOff = r.Lo
 			}
-			gemmSerial(pr, transA, transB, m, r.Len(), k, alpha, a, lda, b[bOff:], ldb, c[cOff:], ldc)
+			gemmSerial(pr, transA, transB, m, r.Len(), k, alpha, a, lda, b[bOff:], ldb, beta, c[cOff:], ldc)
 		})
 		return
 	}
@@ -64,16 +67,20 @@ func gemm[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alph
 		if isTrans(transA) {
 			aOff = r.Lo * lda
 		}
-		gemmSerial(pr, transA, transB, r.Len(), n, k, alpha, a[aOff:], lda, b, ldb, c[cOff:], ldc)
+		gemmSerial(pr, transA, transB, r.Len(), n, k, alpha, a[aOff:], lda, b, ldb, beta, c[cOff:], ldc)
 	})
 }
 
-// scaleC applies the beta pass C = beta*C to the m x n output (writing
-// without reading when beta == 0) and reports whether the
-// alpha*op(A)*op(B) update still has work to do.
+// scaleC finishes the calls that have no alpha*op(A)*op(B) term, setting
+// the m x n output to beta*C (writing without reading when beta == 0)
+// when alpha == 0 or k == 0, and reports whether the product term is
+// left for gemmSerial, which applies beta itself.
 func scaleC[T float](m, n, k int, alpha, beta T, c []T, ldc int) bool {
 	if m == 0 || n == 0 {
 		return false
+	}
+	if alpha != 0 && k != 0 {
+		return true
 	}
 	for j := 0; j < n; j++ {
 		cj := c[j*ldc : j*ldc+m]
@@ -87,25 +94,29 @@ func scaleC[T float](m, n, k int, alpha, beta T, c []T, ldc int) bool {
 			}
 		}
 	}
-	return alpha != 0 && k != 0
+	return false
 }
 
-// gemmSerial performs the packed, blocked update C += alpha*op(A)*op(B)
-// on a single thread. C must already hold beta*C.
-func gemmSerial[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
+// gemmSerial computes C = alpha*op(A)*op(B) + beta*C on a single thread,
+// for m, n, k > 0. The micro-kernel writes each full register tile
+// straight into C, applying beta on the first kc block and accumulating
+// on the later ones; only the tiles clipped by the edges of C go through
+// the tile buffer.
+//
+//blobvet:hotpath
+func gemmSerial[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	mr, nr, kernel := pr.mr, pr.nr, pr.microKernel
-	// One buffer, sized to the actual block extents (padded to whole
-	// micro-panels) so small and batched GEMMs don't allocate full-size
-	// panels, holds the packed A and B panels and the tile accumulator.
-	mcMax, kcMax, ncMax := min(pr.mc, m), min(pr.kc, k), min(pr.nc, n)
-	aLen := (mcMax + mr - 1) / mr * mr * kcMax
-	bLen := (ncMax + nr - 1) / nr * nr * kcMax
-	buf := make([]T, aLen+bLen+mr*nr)
+	buf := pr.packs.get(pr)
+	aLen, bLen := pr.mc*pr.kc, pr.nc*pr.kc
 	aPack, bPack, acc := buf[:aLen], buf[aLen:aLen+bLen], buf[aLen+bLen:]
 	for jc := 0; jc < n; jc += pr.nc {
 		nc := min(pr.nc, n-jc)
 		for pc := 0; pc < k; pc += pr.kc {
 			kc := min(pr.kc, k-pc)
+			betaBlock := beta
+			if pc > 0 {
+				betaBlock = 1
+			}
 			packB(transB, b, ldb, pc, jc, kc, nc, nr, bPack)
 			for ic := 0; ic < m; ic += pr.mc {
 				mc := min(pr.mc, m-ic)
@@ -114,25 +125,23 @@ func gemmSerial[T float](pr *precision[T], transA, transB Transpose, m, n, k int
 				mPanels := (mc + mr - 1) / mr
 				for jp := 0; jp < nPanels; jp++ {
 					bp := bPack[jp*kc*nr : (jp+1)*kc*nr]
-					njr := min(nr, nc-jp*nr)
+					cols := min(nr, nc-jp*nr)
 					cPanel := c[(jc+jp*nr)*ldc+ic:]
 					for ip := 0; ip < mPanels; ip++ {
-						kernel(kc, aPack[ip*kc*mr:(ip+1)*kc*mr], bp, acc)
-						mir := min(mr, mc-ip*mr)
-						// Accumulate alpha*acc into C, clipping the tile.
-						for jj := 0; jj < njr; jj++ {
-							tile := acc[jj*mr : jj*mr+mir]
-							ccol := cPanel[jj*ldc+ip*mr:]
-							ccol = ccol[:len(tile)]
-							for ii := range tile {
-								ccol[ii] += alpha * tile[ii]
-							}
+						ap := aPack[ip*kc*mr : (ip+1)*kc*mr]
+						rows := min(mr, mc-ip*mr)
+						if rows == mr && cols == nr {
+							kernel(kc, alpha, ap, bp, betaBlock, cPanel[ip*mr:], ldc)
+							continue
 						}
+						kernel(kc, 1, ap, bp, 0, acc, mr)
+						storeTile(alpha, acc, mr, rows, cols, betaBlock, cPanel[ip*mr:], ldc)
 					}
 				}
 			}
 		}
 	}
+	pr.packs.put(buf)
 }
 
 // packA packs the mc x kc block of op(A) starting at logical (ic, pc) into
@@ -142,35 +151,12 @@ func gemmSerial[T float](pr *precision[T], transA, transB Transpose, m, n, k int
 //
 //blobvet:hotpath
 func packA[T float](transA Transpose, a []T, lda, ic, pc, mc, kc, mr int, ap []T) {
-	mPanels := (mc + mr - 1) / mr
-	for ipn := 0; ipn < mPanels; ipn++ {
-		base := ipn * kc * mr
-		ir := ipn * mr
-		rows := min(mr, mc-ir)
-		if isTrans(transA) {
-			// op(A)(i, l) = A(l, i) = a[(pc+l) + (ic+i)*lda]
-			for l := 0; l < kc; l++ {
-				dst := ap[base+l*mr : base+l*mr+mr]
-				for ii := 0; ii < rows; ii++ {
-					dst[ii] = a[(pc+l)+(ic+ir+ii)*lda]
-				}
-				for ii := rows; ii < mr; ii++ {
-					dst[ii] = 0
-				}
-			}
-			continue
-		}
-		for l := 0; l < kc; l++ {
-			src := a[(ic+ir)+(pc+l)*lda:]
-			dst := ap[base+l*mr : base+l*mr+mr]
-			for ii := 0; ii < rows; ii++ {
-				dst[ii] = src[ii]
-			}
-			for ii := rows; ii < mr; ii++ {
-				dst[ii] = 0
-			}
-		}
+	if isTrans(transA) {
+		// op(A)(i, l) = A(l, i) = a[(pc+l) + (ic+i)*lda]
+		packPanels(false, a[pc+ic*lda:], lda, mc, kc, mr, ap)
+		return
 	}
+	packPanels(true, a[ic+pc*lda:], lda, mc, kc, mr, ap)
 }
 
 // packB packs the kc x nc block of op(B) starting at logical (pc, jc) into
@@ -179,32 +165,43 @@ func packA[T float](transA Transpose, a []T, lda, ic, pc, mc, kc, mr int, ap []T
 //
 //blobvet:hotpath
 func packB[T float](transB Transpose, b []T, ldb, pc, jc, kc, nc, nr int, bp []T) {
-	nPanels := (nc + nr - 1) / nr
-	for jpn := 0; jpn < nPanels; jpn++ {
-		base := jpn * kc * nr
-		jr := jpn * nr
-		cols := min(nr, nc-jr)
-		if isTrans(transB) {
-			// op(B)(l, j) = B(j, l) = b[(jc+j) + (pc+l)*ldb]
+	if isTrans(transB) {
+		// op(B)(l, j) = B(j, l) = b[(jc+j) + (pc+l)*ldb]
+		packPanels(true, b[jc+pc*ldb:], ldb, nc, kc, nr, bp)
+		return
+	}
+	packPanels(false, b[pc+jc*ldb:], ldb, nc, kc, nr, bp)
+}
+
+// packPanels packs the cnt x kc operand block at src into w-wide panels:
+// element (i, l) of the block goes to dst[(i/w)*kc*w + l*w + i%w], and the
+// panel slots past cnt are zeroed. The block holds element (i, l) at
+// src[i + l*ld] when runs is set, so each l copies one contiguous run of
+// up to w elements, and at src[l + i*ld] otherwise, so each i reads one
+// contiguous kc-long source column.
+//
+//blobvet:hotpath
+func packPanels[T float](runs bool, src []T, ld, cnt, kc, w int, dst []T) {
+	for i0 := 0; i0 < cnt; i0 += w {
+		panel := dst[i0*kc : i0*kc+kc*w]
+		width := min(w, cnt-i0)
+		if runs {
 			for l := 0; l < kc; l++ {
-				dst := bp[base+l*nr : base+l*nr+nr]
-				src := b[(jc+jr)+(pc+l)*ldb:]
-				for jj := 0; jj < cols; jj++ {
-					dst[jj] = src[jj]
-				}
-				for jj := cols; jj < nr; jj++ {
-					dst[jj] = 0
-				}
+				row := panel[l*w : l*w+w]
+				copy(row, src[i0+l*ld:i0+l*ld+width])
+				clear(row[width:])
 			}
 			continue
 		}
-		for l := 0; l < kc; l++ {
-			dst := bp[base+l*nr : base+l*nr+nr]
-			for jj := 0; jj < cols; jj++ {
-				dst[jj] = b[(pc+l)+(jc+jr+jj)*ldb]
+		for i := 0; i < width; i++ {
+			col := src[(i0+i)*ld : (i0+i)*ld+kc]
+			for l, v := range col {
+				panel[l*w+i] = v
 			}
-			for jj := cols; jj < nr; jj++ {
-				dst[jj] = 0
+		}
+		for i := width; i < w; i++ {
+			for l := 0; l < kc; l++ {
+				panel[l*w+i] = 0
 			}
 		}
 	}

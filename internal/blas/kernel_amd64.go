@@ -1,9 +1,11 @@
 package blas
 
 // The amd64 SIMD leaves of the GEMM and GEMV drivers (kernel_amd64.s) and
-// the CPU probe that selects them. The assembly has no bounds checks, so
-// each leaf is reached only through a Go wrapper that checks every slice
-// it hands over: those checks are the package's memory-safety boundary.
+// the CPU probe that selects them: AVX-512 GEMM leaves where the CPU and
+// the operating system support them, AVX2/FMA leaves otherwise. The
+// assembly has no bounds checks, so each leaf is reached only through a
+// Go wrapper that checks every slice it hands over: those checks are the
+// package's memory-safety boundary.
 
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -12,10 +14,16 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func dgemmKernel8x6(kc int, ap, bp, acc []float64)
+func dgemmKernel8x6(kc int, alpha float64, ap, bp []float64, beta float64, c []float64, ldc int)
 
 //go:noescape
-func sgemmKernel16x6(kc int, ap, bp, acc []float32)
+func sgemmKernel16x6(kc int, alpha float32, ap, bp []float32, beta float32, c []float32, ldc int)
+
+//go:noescape
+func dgemmKernel16x12(kc int, alpha float64, ap, bp []float64, beta float64, c []float64, ldc int)
+
+//go:noescape
+func sgemmKernel32x12(kc int, alpha float32, ap, bp []float32, beta float32, c []float32, ldc int)
 
 //go:noescape
 func dgemvCols4Kernel(m int, x0, x1, x2, x3 float64, a []float64, lda int, y []float64)
@@ -44,37 +52,98 @@ func hasAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// simdPrecisions returns the AVX2/FMA descriptors: the portable ones with
-// register tiles that fill the sixteen YMM registers (twelve accumulators,
-// two A vectors, two B broadcasts), nc a multiple of nr, and the SIMD GEMV
-// column kernel. ok reports whether this CPU can run them.
-func simdPrecisions() (p32 *precision[float32], p64 *precision[float64], ok bool) {
-	s, d := *portable32, *portable64
-	s.mr, s.nr, s.nc = 16, 6, 1026
-	s.microKernel, s.gemvCols4 = microKernel16x6, sgemvCols4
-	d.mr, d.nr, d.nc = 8, 6, 1026
-	d.microKernel, d.gemvCols4 = microKernel8x6, dgemvCols4
-	return &s, &d, hasAVX2FMA()
+// hasAVX512F reports whether, on top of AVX2 and FMA, the CPU implements
+// AVX512F and the operating system saves the opmask and ZMM registers.
+// The AVX-512 descriptors keep the AVX2 GEMV leaves, so they need both.
+func hasAVX512F() bool {
+	if !hasAVX2FMA() {
+		return false
+	}
+	// XCR0 bits 1 and 2 as above; bit 5 is the opmask state, bit 6 the
+	// upper halves of ZMM0-15, bit 7 ZMM16-31.
+	if xcr0, _ := xgetbv0(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16
+	return ebx7&avx512f != 0
+}
+
+// The SIMD descriptors are the portable ones with assembly leaves and
+// register tiles chosen to fill the register file with accumulators. The
+// AVX2 tiles use the sixteen YMM registers: twelve accumulators, two A
+// vectors, two B broadcasts. The AVX-512 tiles use 24 of the 32 ZMM
+// registers as accumulators beside two A vectors and the B broadcasts.
+// nc is a multiple of nr in both.
+var (
+	avx2Prec32   = withLeaves(portable32, 16, 6, 1026, microKernel16x6, sgemvCols4)
+	avx2Prec64   = withLeaves(portable64, 8, 6, 1026, microKernel8x6, dgemvCols4)
+	avx512Prec32 = withLeaves(portable32, 32, 12, 1032, microKernel32x12, sgemvCols4)
+	avx512Prec64 = withLeaves(portable64, 16, 12, 1032, microKernel16x12, dgemvCols4)
+)
+
+// withLeaves copies base with the given register tile, B block width and
+// leaves, and a packing-buffer free list of its own.
+func withLeaves[T float](base *precision[T], mr, nr, nc int,
+	microKernel func(kc int, alpha T, ap, bp []T, beta T, c []T, ldc int),
+	gemvCols4 func(m int, x0, x1, x2, x3 T, a []T, lda int, y []T) int) *precision[T] {
+	p := *base
+	p.mr, p.nr, p.nc = mr, nr, nc
+	p.microKernel, p.gemvCols4 = microKernel, gemvCols4
+	p.packs = new(packBuffers[T])
+	return &p
+}
+
+// simdPrecisions lists the SIMD descriptor pairs, widest first, each with
+// whether this CPU can run it.
+func simdPrecisions() []simdLevel {
+	return []simdLevel{
+		{name: "avx512", p32: avx512Prec32, p64: avx512Prec64, ok: hasAVX512F()},
+		{name: "avx2", p32: avx2Prec32, p64: avx2Prec64, ok: hasAVX2FMA()},
+	}
+}
+
+// checkTile panics unless the micro-kernel leaf name may touch kc steps of
+// an mr-wide A panel and an nr-wide B panel and an mr x nr tile of C with
+// leading dimension ldc.
+//
+//blobvet:hotpath
+func checkTile(name string, mr, nr, kc, lenA, lenB, lenC, ldc int) {
+	if kc < 0 || lenA/mr < kc || lenB/nr < kc || ldc < mr || lenC < mr || (lenC-mr)/(nr-1) < ldc {
+		panic("blas: short operand for " + name)
+	}
+}
+
+// microKernel32x12 is the float32 AVX-512 micro-kernel for one 32x12 tile.
+//
+//blobvet:hotpath
+func microKernel32x12(kc int, alpha float32, ap, bp []float32, beta float32, c []float32, ldc int) {
+	checkTile("sgemmKernel32x12", 32, 12, kc, len(ap), len(bp), len(c), ldc)
+	sgemmKernel32x12(kc, alpha, ap, bp, beta, c, ldc)
+}
+
+// microKernel16x12 is the float64 AVX-512 micro-kernel for one 16x12 tile.
+//
+//blobvet:hotpath
+func microKernel16x12(kc int, alpha float64, ap, bp []float64, beta float64, c []float64, ldc int) {
+	checkTile("dgemmKernel16x12", 16, 12, kc, len(ap), len(bp), len(c), ldc)
+	dgemmKernel16x12(kc, alpha, ap, bp, beta, c, ldc)
 }
 
 // microKernel16x6 is the float32 AVX2/FMA micro-kernel for one 16x6 tile.
 //
 //blobvet:hotpath
-func microKernel16x6(kc int, ap, bp, acc []float32) {
-	if kc < 0 || len(ap)/16 < kc || len(bp)/6 < kc || len(acc) < 16*6 {
-		panic("blas: short operand for sgemmKernel16x6")
-	}
-	sgemmKernel16x6(kc, ap, bp, acc)
+func microKernel16x6(kc int, alpha float32, ap, bp []float32, beta float32, c []float32, ldc int) {
+	checkTile("sgemmKernel16x6", 16, 6, kc, len(ap), len(bp), len(c), ldc)
+	sgemmKernel16x6(kc, alpha, ap, bp, beta, c, ldc)
 }
 
 // microKernel8x6 is the float64 AVX2/FMA micro-kernel for one 8x6 tile.
 //
 //blobvet:hotpath
-func microKernel8x6(kc int, ap, bp, acc []float64) {
-	if kc < 0 || len(ap)/8 < kc || len(bp)/6 < kc || len(acc) < 8*6 {
-		panic("blas: short operand for dgemmKernel8x6")
-	}
-	dgemmKernel8x6(kc, ap, bp, acc)
+func microKernel8x6(kc int, alpha float64, ap, bp []float64, beta float64, c []float64, ldc int) {
+	checkTile("dgemmKernel8x6", 8, 6, kc, len(ap), len(bp), len(c), ldc)
+	dgemmKernel8x6(kc, alpha, ap, bp, beta, c, ldc)
 }
 
 // sgemvCols4 is the float32 AVX2/FMA column kernel of gemvN: it applies

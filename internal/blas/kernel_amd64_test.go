@@ -5,8 +5,10 @@ import "testing"
 // TestSIMDWrappersRejectShortOperands checks the memory-safety boundary
 // of the assembly leaves: each Go wrapper must panic on any operand one
 // element shorter than the leaf would touch, before entering assembly.
-// None of these calls reaches the assembly, so the test runs on every
-// amd64 CPU; with AVX2/FMA present, the exactly sized calls must run.
+// A GEMM tile of C is short when its leading dimension is below mr or
+// the slice ends before the last column's mr elements. None of these
+// calls reaches the assembly, so the test runs on every amd64 CPU; where
+// the probe allows a wrapper's leaves, the exactly sized call must run.
 func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 	const kc, m, lda = 5, 21, 23
 	// cut returns n, or n-1 when operand i is the one to cut short.
@@ -16,25 +18,50 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 		}
 		return n
 	}
+	// tile runs a GEMM micro-kernel wrapper on an mr x nr tile through
+	// call, which allocates operands of the given lengths; the operands
+	// are ap, bp, c and ldc, in that order.
+	tile := func(mr, nr int, call func(kc, lenA, lenB, lenC, ldc int)) func(short int) {
+		return func(short int) {
+			ldc, lenC := mr+3, (nr-1)*(mr+3)+mr
+			if short == 3 {
+				ldc, lenC = mr-1, nr*mr
+			}
+			call(kc, cut(mr*kc, 0, short), cut(nr*kc, 1, short), cut(lenC, 2, short), ldc)
+		}
+	}
+	tile32 := func(mr, nr int, kernel func(kc int, alpha float32, ap, bp []float32, beta float32, c []float32, ldc int)) func(short int) {
+		return tile(mr, nr, func(kc, lenA, lenB, lenC, ldc int) {
+			kernel(kc, 1, make([]float32, lenA), make([]float32, lenB), 0.5, make([]float32, lenC), ldc)
+		})
+	}
+	tile64 := func(mr, nr int, kernel func(kc int, alpha float64, ap, bp []float64, beta float64, c []float64, ldc int)) func(short int) {
+		return tile(mr, nr, func(kc, lenA, lenB, lenC, ldc int) {
+			kernel(kc, 1, make([]float64, lenA), make([]float64, lenB), 0.5, make([]float64, lenC), ldc)
+		})
+	}
+	gemmOperands := []string{"ap", "bp", "c", "ldc"}
 	wrappers := []struct {
 		name     string
+		level    string // the SIMD descriptor whose leaf the wrapper guards
 		operands []string
 		run      func(short int) // short indexes operands; -1 cuts none
 	}{
-		{"microKernel16x6", []string{"ap", "bp", "acc"}, func(short int) {
-			microKernel16x6(kc, make([]float32, cut(16*kc, 0, short)), make([]float32, cut(6*kc, 1, short)), make([]float32, cut(16*6, 2, short)))
-		}},
-		{"microKernel8x6", []string{"ap", "bp", "acc"}, func(short int) {
-			microKernel8x6(kc, make([]float64, cut(8*kc, 0, short)), make([]float64, cut(6*kc, 1, short)), make([]float64, cut(8*6, 2, short)))
-		}},
-		{"sgemvCols4", []string{"a", "y"}, func(short int) {
+		{"microKernel32x12", "avx512", gemmOperands, tile32(32, 12, microKernel32x12)},
+		{"microKernel16x12", "avx512", gemmOperands, tile64(16, 12, microKernel16x12)},
+		{"microKernel16x6", "avx2", gemmOperands, tile32(16, 6, microKernel16x6)},
+		{"microKernel8x6", "avx2", gemmOperands, tile64(8, 6, microKernel8x6)},
+		{"sgemvCols4", "avx2", []string{"a", "y"}, func(short int) {
 			sgemvCols4(m, 1, 2, 3, 4, make([]float32, cut(3*lda+m, 0, short)), lda, make([]float32, cut(m, 1, short)))
 		}},
-		{"dgemvCols4", []string{"a", "y"}, func(short int) {
+		{"dgemvCols4", "avx2", []string{"a", "y"}, func(short int) {
 			dgemvCols4(m, 1, 2, 3, 4, make([]float64, cut(3*lda+m, 0, short)), lda, make([]float64, cut(m, 1, short)))
 		}},
 	}
-	_, _, simd := simdPrecisions()
+	allowed := map[string]bool{}
+	for _, l := range simdPrecisions() {
+		allowed[l.name] = l.ok
+	}
 	for _, w := range wrappers {
 		for short, operand := range w.operands {
 			t.Run(w.name+"/"+operand, func(t *testing.T) {
@@ -46,7 +73,7 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 				w.run(short)
 			})
 		}
-		if simd {
+		if allowed[w.level] {
 			w.run(-1)
 		}
 	}

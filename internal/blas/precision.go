@@ -1,20 +1,24 @@
 package blas
 
+import "sync"
+
 // Every optimized kernel is one generic driver over float. A precision
 // descriptor holds exactly what differs between float32 and float64:
 //
 //   - the GEMM blocking: mc x kc panels of A, kc x nc panels of B, and the
 //     mr x nr register tile;
-//   - the register micro-kernel that computes one mr x nr tile, and the
-//     column kernel of the GEMV NoTrans driver;
+//   - the register micro-kernel that computes one mr x nr tile of C, and
+//     the column kernel of the GEMV NoTrans driver;
+//   - the free list of GEMM packing buffers, sized from the blocking;
 //   - the reference kernels the optimized ones fall back to: GEMV, GER
 //     and SYMV for strided or small calls, and TRSM/TRMM/SYRK/SYMM at the
 //     leaves of the level-3 recursion. Ref* stays per precision because
 //     it is the test oracle.
 //
-// Each precision has two descriptors. The portable one runs pure-Go
-// leaves anywhere. The SIMD one (kernel_amd64.go) swaps in AVX2/FMA
-// assembly leaves with their own register tiles. Which one the exported
+// Each precision has three descriptors. The portable one runs pure-Go
+// leaves anywhere. The SIMD ones (kernel_amd64.go) swap in assembly
+// leaves with their own register tiles: AVX2/FMA, and AVX-512 with twice
+// the vector width and twice the registers. Which one the exported
 // kernels use is decided once at start-up, by the CPU probe alone.
 
 // float is the element type set of the optimized kernels.
@@ -24,15 +28,20 @@ type float interface{ float32 | float64 }
 type precision[T float] struct {
 	mc, kc, nc int
 	mr, nr     int
-	// microKernel sets acc (mr*nr elements, column-major) to the product
-	// of one mr-wide packed A panel and one nr-wide packed B panel, each
-	// kc rows deep.
-	microKernel func(kc int, ap, bp, acc []T)
+	// microKernel computes C = alpha*A*B + beta*C on one mr x nr tile of
+	// C (column-major, leading dimension ldc >= mr), where A is one
+	// mr-wide packed panel and B one nr-wide packed panel, each kc deep.
+	// With beta == 0 it never reads C, so C may hold anything, NaN
+	// included.
+	microKernel func(kc int, alpha T, ap, bp []T, beta T, c []T, ldc int)
 	// gemvCols4 adds x0*c0 + x1*c1 + x2*c2 + x3*c3 to y[:m], where c_j is
 	// column j of a (leading dimension lda), over the longest prefix of
 	// the m rows its vector width covers, and returns that prefix's
 	// length; gemvN finishes the rows after it.
 	gemvCols4 func(m int, x0, x1, x2, x3 T, a []T, lda int, y []T) int
+	// packs holds the packing buffers of the GEMM driver; see
+	// packBuffers.
+	packs *packBuffers[T]
 
 	refGemv func(trans Transpose, m, n int, alpha T, a []T, lda int, x []T, incX int, beta T, y []T, incY int)
 	refGer  func(m, n int, alpha T, x []T, incX int, y []T, incY int, a []T, lda int)
@@ -48,27 +57,68 @@ type precision[T float] struct {
 // intensity per packed-panel load, and the A panel doubles with it.
 var portable32 = &precision[float32]{
 	mc: 256, kc: 256, nc: 1024, mr: 8, nr: 4,
-	microKernel: microKernel8x4, gemvCols4: gemvCols4[float32],
+	microKernel: microKernel8x4, gemvCols4: gemvCols4[float32], packs: new(packBuffers[float32]),
 	refGemv: RefSgemv, refGer: RefSger, refSymv: RefSsymv,
 	refTrsm: RefStrsm, refTrmm: RefStrmm, refSyrk: RefSsyrk, refSymm: RefSsymm,
 }
 
 var portable64 = &precision[float64]{
 	mc: 128, kc: 256, nc: 1024, mr: 4, nr: 4,
-	microKernel: microKernel4x4, gemvCols4: gemvCols4[float64],
+	microKernel: microKernel4x4, gemvCols4: gemvCols4[float64], packs: new(packBuffers[float64]),
 	refGemv: RefDgemv, refGer: RefDger, refSymv: RefDsymv,
 	refTrsm: RefDtrsm, refTrmm: RefDtrmm, refSyrk: RefDsyrk, refSymm: RefDsymm,
 }
 
+// simdLevel is one pair of SIMD descriptors and whether this CPU can run
+// them.
+type simdLevel struct {
+	name string
+	p32  *precision[float32]
+	p64  *precision[float64]
+	ok   bool
+}
+
 // prec32 and prec64 are the descriptors the exported kernels run: the
-// SIMD ones when the CPU can run them, the portable ones otherwise.
+// widest SIMD pair the CPU can run, the portable pair otherwise.
 var prec32, prec64 = selectPrecisions()
 
 func selectPrecisions() (*precision[float32], *precision[float64]) {
-	if s, d, ok := simdPrecisions(); ok {
-		return s, d
+	for _, l := range simdPrecisions() {
+		if l.ok {
+			return l.p32, l.p64
+		}
 	}
 	return portable32, portable64
+}
+
+// packBuffers is a free list of GEMM packing buffers for one descriptor.
+// Each running gemmSerial takes one buffer and returns it when done, so
+// the list never holds more buffers than gemmSerial calls have run at
+// once, and a warm caller packs without allocating.
+type packBuffers[T float] struct {
+	mu   sync.Mutex
+	free [][]T
+}
+
+// get returns a buffer that holds a full mc x kc block of A, a full
+// kc x nc block of B and one mr x nr tile, all of pr's blocking.
+func (p *packBuffers[T]) get(pr *precision[T]) []T {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		buf := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return buf
+	}
+	p.mu.Unlock()
+	return make([]T, (pr.mc+pr.nc)*pr.kc+pr.mr*pr.nr)
+}
+
+// put hands buf back for the next gemmSerial.
+func (p *packBuffers[T]) put(buf []T) {
+	p.mu.Lock()
+	p.free = append(p.free, buf)
+	p.mu.Unlock()
 }
 
 // gemvCols4 is the portable GEMV column kernel; it covers all m rows.
@@ -86,12 +136,32 @@ func gemvCols4[T float](m int, x0, x1, x2, x3 T, a []T, lda int, y []T) int {
 	return m
 }
 
+// storeTile writes C = alpha*acc + beta*C on the top-left rows x cols of
+// a tile held column-major in acc with leading dimension mr. With
+// beta == 0 it does not read C.
+//
+//blobvet:hotpath
+func storeTile[T float](alpha T, acc []T, mr, rows, cols int, beta T, c []T, ldc int) {
+	for j := 0; j < cols; j++ {
+		src := acc[j*mr : j*mr+rows]
+		dst := c[j*ldc : j*ldc+rows]
+		if beta == 0 {
+			for i, v := range src {
+				dst[i] = alpha * v
+			}
+			continue
+		}
+		for i, v := range src {
+			dst[i] = alpha*v + beta*dst[i]
+		}
+	}
+}
+
 // microKernel4x4 is the float64 micro-kernel: all sixteen accumulators
 // live in registers for the whole kc loop.
 //
 //blobvet:hotpath
-func microKernel4x4(kc int, ap, bp, accs []float64) {
-	acc := (*[16]float64)(accs)
+func microKernel4x4(kc int, alpha float64, ap, bp []float64, beta float64, c []float64, ldc int) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
@@ -116,20 +186,20 @@ func microKernel4x4(kc int, ap, bp, accs []float64) {
 		c32 += a3 * b2
 		c33 += a3 * b3
 	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c10, c20, c30
-	acc[4], acc[5], acc[6], acc[7] = c01, c11, c21, c31
-	acc[8], acc[9], acc[10], acc[11] = c02, c12, c22, c32
-	acc[12], acc[13], acc[14], acc[15] = c03, c13, c23, c33
+	acc := [16]float64{
+		c00, c10, c20, c30,
+		c01, c11, c21, c31,
+		c02, c12, c22, c32,
+		c03, c13, c23, c33,
+	}
+	storeTile(alpha, acc[:], 4, 4, 4, beta, c, ldc)
 }
 
 // microKernel8x4 is the float32 micro-kernel for one 8x4 tile.
 //
 //blobvet:hotpath
-func microKernel8x4(kc int, ap, bp, accs []float32) {
-	acc := (*[32]float32)(accs)
-	for i := range acc {
-		acc[i] = 0
-	}
+func microKernel8x4(kc int, alpha float32, ap, bp []float32, beta float32, c []float32, ldc int) {
+	var acc [32]float32
 	for l := 0; l < kc; l++ {
 		b0, b1, b2, b3 := bp[l*4], bp[l*4+1], bp[l*4+2], bp[l*4+3]
 		arow := ap[l*8 : l*8+8]
@@ -141,4 +211,5 @@ func microKernel8x4(kc int, ap, bp, accs []float32) {
 			acc[24+ii] += av * b3
 		}
 	}
+	storeTile(alpha, acc[:], 8, 8, 4, beta, c, ldc)
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // LiveCPUTimer measures real wall-clock time of the repository's own
-// pure-Go BLAS kernels on the host machine, playing the role the vendor
+// Go BLAS kernels (internal/blas, with its AVX-512 or AVX2 assembly leaves
+// where the CPU has them) on the host machine, playing the role the vendor
 // CPU library plays in the original artifact. With it, gpu-blob is a true
 // CPU benchmark of wherever it runs (the GPU side stays modeled — there is
 // no GPU to run on).

@@ -244,9 +244,19 @@ func (d *Dispatcher) Decide(ctx context.Context, c Call) (Decision, error) {
 
 // computeShared evaluates one cold shape, deduplicating concurrent
 // callers of the same key singleflight-style: the first caller becomes
-// the leader and evaluates; the rest wait on its result.
+// the leader and evaluates; the rest wait on its result. The cache is
+// consulted again under inflightMu: a leader stores its verdict before it
+// retires its flight, so a caller that missed the cache while that flight
+// was still running finds the verdict here instead of starting a second
+// evaluation.
 func (d *Dispatcher) computeShared(key uint64, c Call) Decision {
 	d.inflightMu.Lock()
+	if dec, ok := d.cache.get(key); ok {
+		d.inflightMu.Unlock()
+		d.cacheHits.Add(1)
+		dec.Cached = true
+		return dec
+	}
 	if fl, ok := d.inflight[key]; ok {
 		d.inflightMu.Unlock()
 		<-fl.done

@@ -251,6 +251,49 @@ func TestConcurrentSingleflight(t *testing.T) {
 	}
 }
 
+// TestSingleflightLateCallerUsesCache forces the window between Decide's
+// cache miss and computeShared's flight lookup: the caller misses the
+// cache while the leader is still evaluating, and reaches computeShared
+// only after the leader has stored its verdict and retired its flight.
+// The late caller must answer from the cache, not evaluate a second time.
+func TestSingleflightLateCallerUsesCache(t *testing.T) {
+	var evals atomic.Int64
+	evaluating, release := make(chan struct{}), make(chan struct{})
+	d := New(Options{
+		System: mustSystem(t, "dawn"),
+		Evaluate: func(sys systems.System, c advisor.Call) (float64, float64) {
+			if evals.Add(1) == 1 {
+				close(evaluating)
+				<-release
+			}
+			return advisor.Times(sys, c)
+		},
+	})
+	c := gemmCall(96, 96, 96)
+	key := shapeKey(c)
+	leader := make(chan Decision)
+	go func() {
+		dec, err := d.Decide(context.Background(), c)
+		if err != nil {
+			t.Error(err)
+		}
+		leader <- dec
+	}()
+	<-evaluating
+	if _, ok := d.cache.get(key); ok {
+		t.Fatal("verdict cached while the leader is still evaluating")
+	}
+	close(release)
+	first := <-leader
+	late := d.computeShared(key, c)
+	if got := evals.Load(); got != 1 {
+		t.Fatalf("evaluations = %d, want exactly 1", got)
+	}
+	if !late.Cached || late.Device != first.Device {
+		t.Fatalf("late caller got %+v, want the leader's cached verdict %+v", late, first)
+	}
+}
+
 // TestResidencyLowersUSMThreshold: under Unified transfer, a resident
 // working set skips the first-touch migration, so the GPU time drops and
 // a shape that a cold placement keeps on the CPU can become offloadable.

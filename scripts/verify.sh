@@ -76,7 +76,10 @@
 #                      the offload dispatcher, the overload controller,
 #                      the resilience layer (retry / breaker / fault
 #                      injection), the network-fault layer, and the
-#                      cluster ring / pool / gateway (hedging included)
+#                      cluster ring / pool / gateway (hedging included);
+#                      internal/blas is the longest package, ~110 s on a
+#                      2-CPU host, most of it the block-edge and fused-beta
+#                      tests over the AVX-512, AVX2 and portable descriptors
 #  12. chaos         — the seeded fault-injection gate: the chaos tests
 #                      re-run under the race detector with a fixed seed,
 #                      proving a sweep under a 30%-transient fault plan
