@@ -55,7 +55,7 @@ func run(pass *blobvet.Pass) error {
 }
 
 // isKernelEntry reports whether fn is an exported GEMM or GEMV entry point
-// (OptSgemm, RefDgemv, DgemmStridedBatched, ...).
+// (OptSgemm, RefDgemv, ...).
 func isKernelEntry(fn *ast.FuncDecl) bool {
 	name := fn.Name.Name
 	if !ast.IsExported(name) || fn.Recv != nil {
@@ -106,9 +106,8 @@ func checkKernel(pass *blobvet.Pass, fn *ast.FuncDecl) {
 // indexable reports whether expr is a kernel operand buffer: a slice or
 // array whose elements are floating point (or a pointer to one, for the
 // register-tile accumulators), including the []T of a generic kernel
-// over float type parameters. Indexing other slices — e.g. a batch's
-// item descriptors — is not an operand access and does not need to wait
-// for the validator.
+// over float type parameters. Indexing other slices is not an operand
+// access and does not need to wait for the validator.
 func indexable(pass *blobvet.Pass, expr ast.Expr) bool {
 	t := pass.Info.TypeOf(expr)
 	if t == nil {

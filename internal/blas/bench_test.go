@@ -107,41 +107,3 @@ func BenchmarkOptSgemvTrans(b *testing.B) {
 		OptSgemv(Trans, n, n, 1, a, n, x, 1, 0, y, 1)
 	}
 }
-
-func BenchmarkDgemmBatched(b *testing.B) {
-	const batch, n = 64, 32
-	r := rand.New(rand.NewSource(42))
-	a := randSlice64(r, batch*n*n)
-	bb := randSlice64(r, batch*n*n)
-	c := make([]float64, batch*n*n)
-	flops := 2 * float64(batch) * float64(n) * float64(n) * float64(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DgemmStridedBatched(NoTrans, NoTrans, n, n, n, 1, a, n, n*n, bb, n, n*n, 0, c, n, n*n, batch)
-	}
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-}
-
-func BenchmarkDdot(b *testing.B) {
-	const n = 1 << 16
-	r := rand.New(rand.NewSource(42))
-	x := randSlice64(r, n)
-	y := randSlice64(r, n)
-	b.SetBytes(n * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = RefDdot(n, x, 1, y, 1)
-	}
-}
-
-func BenchmarkDaxpy(b *testing.B) {
-	const n = 1 << 16
-	r := rand.New(rand.NewSource(42))
-	x := randSlice64(r, n)
-	y := randSlice64(r, n)
-	b.SetBytes(n * 24)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RefDaxpy(n, 1.0001, x, 1, y, 1)
-	}
-}

@@ -1,5 +1,5 @@
-// Package blas implements the Basic Linear Algebra Subprograms used by
-// GPU-BLOB-Go, in Go, for float32 and float64. Each precision has three
+// Package blas implements the two BLAS kernels the paper benchmarks, GEMM
+// and GEMV, in Go, for float32 and float64. Each precision has three
 // descriptors (precision.go), and a CPUID probe picks one at start-up: on
 // amd64 CPUs with AVX512F the GEMM micro-kernels are AVX-512 assembly, on
 // those with only AVX2 and FMA they are AVX2 assembly (kernel_amd64.s),
@@ -35,33 +35,6 @@ const (
 	ConjTrans Transpose = 'C'
 )
 
-// Uplo selects which triangle of a symmetric or triangular matrix is stored.
-type Uplo byte
-
-// Uplo values.
-const (
-	Upper Uplo = 'U'
-	Lower Uplo = 'L'
-)
-
-// Diag indicates whether a triangular matrix has a unit diagonal.
-type Diag byte
-
-// Diag values.
-const (
-	NonUnit Diag = 'N'
-	Unit    Diag = 'U'
-)
-
-// Side selects the side a symmetric/triangular operand multiplies from.
-type Side byte
-
-// Side values.
-const (
-	Left  Side = 'L'
-	Right Side = 'R'
-)
-
 func (t Transpose) valid() bool { return t == NoTrans || t == Trans || t == ConjTrans }
 
 // isTrans reports whether t denotes any transposition.
@@ -92,19 +65,6 @@ func checkGemm(transA, transB Transpose, m, n, k, lda, ldb, ldc int) {
 	}
 }
 
-// checkStridedBatch validates the batch geometry of a strided-batched GEMM
-// before any operand buffer is sliced: negative strides or counts would
-// otherwise surface as a raw slice-bounds panic (or, with aliasing strides,
-// silently overlapping batch items) deep inside the batch loop.
-func checkStridedBatch(strideA, strideB, strideC, batchCount int) {
-	if batchCount < 0 {
-		panic(fmt.Sprintf("blas: negative batchCount %d", batchCount))
-	}
-	if strideA < 0 || strideB < 0 || strideC < 0 {
-		panic(fmt.Sprintf("blas: negative batch stride (%d,%d,%d)", strideA, strideB, strideC))
-	}
-}
-
 func checkGemv(trans Transpose, m, n, lda, incX, incY int) {
 	if !trans.valid() {
 		panic(fmt.Sprintf("blas: invalid transpose %c", trans))
@@ -114,33 +74,6 @@ func checkGemv(trans Transpose, m, n, lda, incX, incY int) {
 	}
 	if lda < max(1, m) {
 		panic(fmt.Sprintf("blas: lda=%d too small for %d rows", lda, m))
-	}
-	if incX == 0 || incY == 0 {
-		panic("blas: zero vector increment")
-	}
-}
-
-func checkGer(m, n, lda, incX, incY int) {
-	if m < 0 || n < 0 {
-		panic("blas: negative ger dimension")
-	}
-	if lda < max(1, m) {
-		panic("blas: ger lda too small")
-	}
-	if incX == 0 || incY == 0 {
-		panic("blas: zero vector increment")
-	}
-}
-
-func checkSymv(uplo Uplo, n, lda, incX, incY int) {
-	if uplo != Upper && uplo != Lower {
-		panic("blas: invalid uplo")
-	}
-	if n < 0 {
-		panic("blas: negative symv dimension")
-	}
-	if lda < max(1, n) {
-		panic("blas: symv lda too small")
 	}
 	if incX == 0 || incY == 0 {
 		panic("blas: zero vector increment")

@@ -32,13 +32,6 @@ func OptDgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64,
 	gemm(prec64, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-// gemmChecked is gemm behind the exported entry points' argument check;
-// the level-3 recursion runs its GEMM updates through it.
-func gemmChecked[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
-	checkGemm(transA, transB, m, n, k, lda, ldb, ldc)
-	gemm(pr, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
 // gemm computes C = alpha*op(A)*op(B) + beta*C on validated arguments.
 func gemm[T float](pr *precision[T], transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	if !scaleC(m, n, k, alpha, beta, c, ldc) {

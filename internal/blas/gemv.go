@@ -27,7 +27,7 @@ func OptDgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x 
 // gemv computes y = alpha*op(A)*x + beta*y on validated arguments.
 func gemv[T float](pr *precision[T], trans Transpose, m, n int, alpha T, a []T, lda int, x []T, incX int, beta T, y []T, incY int) {
 	if incX != 1 || incY != 1 {
-		pr.refGemv(trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
+		refGemv(trans, m, n, alpha, a, lda, x, incX, beta, y, incY)
 		return
 	}
 	lenY := lenGemvY(trans, m, n)

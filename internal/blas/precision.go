@@ -9,11 +9,7 @@ import "sync"
 //     mr x nr register tile;
 //   - the register micro-kernel that computes one mr x nr tile of C, and
 //     the column kernel of the GEMV NoTrans driver;
-//   - the free list of GEMM packing buffers, sized from the blocking;
-//   - the reference kernels the optimized ones fall back to: GEMV, GER
-//     and SYMV for strided or small calls, and TRSM/TRMM/SYRK/SYMM at the
-//     leaves of the level-3 recursion. Ref* stays per precision because
-//     it is the test oracle.
+//   - the free list of GEMM packing buffers, sized from the blocking.
 //
 // Each precision has three descriptors. The portable one runs pure-Go
 // leaves anywhere. The SIMD ones (kernel_amd64.go) swap in assembly
@@ -42,14 +38,6 @@ type precision[T float] struct {
 	// packs holds the packing buffers of the GEMM driver; see
 	// packBuffers.
 	packs *packBuffers[T]
-
-	refGemv func(trans Transpose, m, n int, alpha T, a []T, lda int, x []T, incX int, beta T, y []T, incY int)
-	refGer  func(m, n int, alpha T, x []T, incX int, y []T, incY int, a []T, lda int)
-	refSymv func(uplo Uplo, n int, alpha T, a []T, lda int, x []T, incX int, beta T, y []T, incY int)
-	refTrsm func(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int)
-	refTrmm func(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int)
-	refSyrk func(uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, beta T, c []T, ldc int)
-	refSymm func(side Side, uplo Uplo, m, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int)
 }
 
 // portable32 uses a wider 8x4 tile than portable64: float32 halves the
@@ -58,15 +46,11 @@ type precision[T float] struct {
 var portable32 = &precision[float32]{
 	mc: 256, kc: 256, nc: 1024, mr: 8, nr: 4,
 	microKernel: microKernel8x4, gemvCols4: gemvCols4[float32], packs: new(packBuffers[float32]),
-	refGemv: RefSgemv, refGer: RefSger, refSymv: RefSsymv,
-	refTrsm: RefStrsm, refTrmm: RefStrmm, refSyrk: RefSsyrk, refSymm: RefSsymm,
 }
 
 var portable64 = &precision[float64]{
 	mc: 128, kc: 256, nc: 1024, mr: 4, nr: 4,
 	microKernel: microKernel4x4, gemvCols4: gemvCols4[float64], packs: new(packBuffers[float64]),
-	refGemv: RefDgemv, refGer: RefDger, refSymv: RefDsymv,
-	refTrsm: RefDtrsm, refTrmm: RefDtrmm, refSyrk: RefDsyrk, refSymm: RefDsymm,
 }
 
 // simdLevel is one pair of SIMD descriptors and whether this CPU can run

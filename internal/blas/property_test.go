@@ -64,7 +64,7 @@ func checkRandomShapes[T float32 | float64](t *testing.T, k precisionKernels[T])
 		a, b := operand(lda*colsA), operand(ldb*colsB)
 		want := operand(ldc * n)
 		got := append([]T(nil), want...)
-		k.refGemm(ta, tb, m, n, kk, alpha, a, lda, b, ldb, beta, want, ldc)
+		refGemm(ta, tb, m, n, kk, alpha, a, lda, b, ldb, beta, want, ldc)
 		k.gemm(ta, tb, m, n, kk, alpha, a, lda, b, ldb, beta, got, ldc)
 		assertClose(t, fmt.Sprintf("draw %d gemm %c%c m=%d n=%d k=%d lda=%d ldb=%d ldc=%d alpha=%g beta=%g",
 			draw, ta, tb, m, n, kk, lda, ldb, ldc, alpha, beta), got, want)
@@ -81,7 +81,7 @@ func checkRandomShapes[T float32 | float64](t *testing.T, k precisionKernels[T])
 		x := operand(stridedLen(lenGemvX(tr, m, n), incX))
 		want := operand(stridedLen(lenGemvY(tr, m, n), incY))
 		got := append([]T(nil), want...)
-		k.refGemv(tr, m, n, alpha, a, lda, x, incX, beta, want, incY)
+		refGemv(tr, m, n, alpha, a, lda, x, incX, beta, want, incY)
 		k.gemv(tr, m, n, alpha, a, lda, x, incX, beta, got, incY)
 		assertClose(t, fmt.Sprintf("draw %d gemv %c m=%d n=%d lda=%d incX=%d incY=%d alpha=%g beta=%g",
 			draw, tr, m, n, lda, incX, incY, alpha, beta), got, want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,66 @@ func TestThresholdMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property (§III-D): over seeded random CPU/GPU series that mix a
+// crossover with momentary GPU wins before it, momentary CPU wins after
+// it and exact ties (which the CPU keeps), the detector reports t exactly
+// when t is the offload threshold by definition: the GPU wins at t and at
+// every larger size, it does not win at t-1, and at least two samples
+// confirm the win (t and the one after it). When no size qualifies it
+// reports none.
+func TestThresholdDefinitionProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	for series := 0; series < 2000; series++ {
+		n := 1 + r.Intn(24)
+		cross := r.Intn(n + 1)
+		cpu, gpu := make([]float64, n), make([]float64, n)
+		for i := range cpu {
+			cpu[i] = 1 + r.Float64()
+			win := i >= cross
+			if r.Intn(5) == 0 {
+				win = !win
+			}
+			switch {
+			case r.Intn(8) == 0:
+				gpu[i] = cpu[i]
+			case win:
+				gpu[i] = cpu[i] * (0.5 + 0.49*r.Float64())
+			default:
+				gpu[i] = cpu[i] * (1.01 + r.Float64())
+			}
+		}
+		gpuWins := func(i int) bool { return gpu[i] < cpu[i] }
+		// isThreshold is the definition, checked by brute force.
+		isThreshold := func(th int) bool {
+			if n-th < 2 || (th > 0 && gpuWins(th-1)) {
+				return false
+			}
+			for i := th; i < n; i++ {
+				if !gpuWins(i) {
+					return false
+				}
+			}
+			return true
+		}
+		var det ThresholdDetector
+		for i := range cpu {
+			det.ObserveTimes(dims(i+1), cpu[i], gpu[i])
+		}
+		d, ok := det.Threshold()
+		if ok {
+			if !isThreshold(d.M - 1) {
+				t.Fatalf("series %d cpu=%v gpu=%v: reported threshold %v does not satisfy §III-D", series, cpu, gpu, d)
+			}
+			continue
+		}
+		for th := 0; th < n; th++ {
+			if isThreshold(th) {
+				t.Fatalf("series %d cpu=%v gpu=%v: size %d is a threshold, detector reported none", series, cpu, gpu, th+1)
+			}
+		}
 	}
 }
 
