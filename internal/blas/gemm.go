@@ -110,10 +110,10 @@ func gemmSerial[T float](pr *precision[T], transA, transB Transpose, m, n, k int
 			if pc > 0 {
 				betaBlock = 1
 			}
-			packB(transB, b, ldb, pc, jc, kc, nc, nr, bPack)
+			packB(pr, transB, b, ldb, pc, jc, kc, nc, bPack)
 			for ic := 0; ic < m; ic += pr.mc {
 				mc := min(pr.mc, m-ic)
-				packA(transA, a, lda, ic, pc, mc, kc, mr, aPack)
+				packA(pr, transA, a, lda, ic, pc, mc, kc, aPack)
 				nPanels := (nc + nr - 1) / nr
 				mPanels := (mc + mr - 1) / mr
 				for jp := 0; jp < nPanels; jp++ {
@@ -143,13 +143,13 @@ func gemmSerial[T float](pr *precision[T], transA, transB Transpose, m, n, k int
 // with zeros.
 //
 //blobvet:hotpath
-func packA[T float](transA Transpose, a []T, lda, ic, pc, mc, kc, mr int, ap []T) {
+func packA[T float](pr *precision[T], transA Transpose, a []T, lda, ic, pc, mc, kc int, ap []T) {
 	if isTrans(transA) {
 		// op(A)(i, l) = A(l, i) = a[(pc+l) + (ic+i)*lda]
-		packPanels(false, a[pc+ic*lda:], lda, mc, kc, mr, ap)
+		pr.packCols(a[pc+ic*lda:], lda, mc, kc, pr.mr, ap)
 		return
 	}
-	packPanels(true, a[ic+pc*lda:], lda, mc, kc, mr, ap)
+	pr.packRuns(a[ic+pc*lda:], lda, mc, kc, pr.mr, ap)
 }
 
 // packB packs the kc x nc block of op(B) starting at logical (pc, jc) into
@@ -157,44 +157,62 @@ func packA[T float](transA Transpose, a []T, lda, ic, pc, mc, kc, mr int, ap []T
 // ((l, jj) -> bp[jp*kc*nr + l*nr + jj]). Columns beyond nc pad with zeros.
 //
 //blobvet:hotpath
-func packB[T float](transB Transpose, b []T, ldb, pc, jc, kc, nc, nr int, bp []T) {
+func packB[T float](pr *precision[T], transB Transpose, b []T, ldb, pc, jc, kc, nc int, bp []T) {
 	if isTrans(transB) {
 		// op(B)(l, j) = B(j, l) = b[(jc+j) + (pc+l)*ldb]
-		packPanels(true, b[jc+pc*ldb:], ldb, nc, kc, nr, bp)
+		pr.packRuns(b[jc+pc*ldb:], ldb, nc, kc, pr.nr, bp)
 		return
 	}
-	packPanels(false, b[pc+jc*ldb:], ldb, nc, kc, nr, bp)
+	pr.packCols(b[pc+jc*ldb:], ldb, nc, kc, pr.nr, bp)
 }
 
-// packPanels packs the cnt x kc operand block at src into w-wide panels:
-// element (i, l) of the block goes to dst[(i/w)*kc*w + l*w + i%w], and the
-// panel slots past cnt are zeroed. The block holds element (i, l) at
-// src[i + l*ld] when runs is set, so each l copies one contiguous run of
-// up to w elements, and at src[l + i*ld] otherwise, so each i reads one
-// contiguous kc-long source column.
-//
+// packRuns and packCols are the generic pack leaves. Each packs the
+// cnt x kc operand block at src into w-wide panels: element (i, l) of the
+// block goes to dst[(i/w)*kc*w + l*w + i%w], and the panel slots past cnt
+// are zeroed. packRuns reads element (i, l) at src[i + l*ld], so row l of
+// a panel is one contiguous run of up to w source elements. packCols
+// reads it at src[l + i*ld], so a panel gathers up to w contiguous
+// kc-long source columns, four at a time: each step of l writes four
+// adjacent slots of the packed row from four hoisted column slices. An
+// edge panel is cleared whole first.
+
 //blobvet:hotpath
-func packPanels[T float](runs bool, src []T, ld, cnt, kc, w int, dst []T) {
+func packRuns[T float](src []T, ld, cnt, kc, w int, dst []T) {
 	for i0 := 0; i0 < cnt; i0 += w {
 		panel := dst[i0*kc : i0*kc+kc*w]
 		width := min(w, cnt-i0)
-		if runs {
-			for l := 0; l < kc; l++ {
-				row := panel[l*w : l*w+w]
-				copy(row, src[i0+l*ld:i0+l*ld+width])
+		for l := 0; l < kc; l++ {
+			row := panel[l*w : l*w+w]
+			copy(row, src[i0+l*ld:i0+l*ld+width])
+			if width < w {
 				clear(row[width:])
 			}
-			continue
 		}
-		for i := 0; i < width; i++ {
-			col := src[(i0+i)*ld : (i0+i)*ld+kc]
-			for l, v := range col {
-				panel[l*w+i] = v
+	}
+}
+
+//blobvet:hotpath
+func packCols[T float](src []T, ld, cnt, kc, w int, dst []T) {
+	for i0 := 0; i0 < cnt; i0 += w {
+		panel := dst[i0*kc : i0*kc+kc*w]
+		width := min(w, cnt-i0)
+		if width < w {
+			clear(panel)
+		}
+		i := 0
+		for ; i+4 <= width; i += 4 {
+			c0 := src[(i0+i)*ld:][:kc]
+			c1 := src[(i0+i+1)*ld:][:kc]
+			c2 := src[(i0+i+2)*ld:][:kc]
+			c3 := src[(i0+i+3)*ld:][:kc]
+			for l := range c0 {
+				r := panel[l*w+i:][:4]
+				r[0], r[1], r[2], r[3] = c0[l], c1[l], c2[l], c3[l]
 			}
 		}
-		for i := width; i < w; i++ {
-			for l := 0; l < kc; l++ {
-				panel[l*w+i] = 0
+		for ; i < width; i++ {
+			for l, v := range src[(i0+i)*ld:][:kc] {
+				panel[l*w+i] = v
 			}
 		}
 	}

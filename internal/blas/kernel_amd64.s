@@ -460,3 +460,229 @@ sgemvloop:
 sdone:
 	VZEROUPPER
 	RET
+
+// The AVX-512 pack leaves lay out full-width panels for the AVX-512
+// micro-kernels; the Go wrappers hand everything else to the generic
+// packers. Panel p of the packed block starts kc*w elements after panel
+// p-1, and row l of a panel w elements after row l-1.
+
+// PACK_RUNS copies n panels of kc rows, each row one 128-byte run (32
+// float32 or 16 float64) read ld bytes after the run of the row before:
+// two ZMM loads and two stores per row. Rows are contiguous in the
+// packed block, so DI only moves forward. CX = n, SI = src, AX = ld in
+// bytes, DI = dst, BX = kc.
+#define PACK_RUNS(label, rowLabel) \
+label:                           \
+	MOVQ    SI, R8               \
+	MOVQ    BX, DX               \
+rowLabel:                        \
+	VMOVUPS (R8), Z0             \
+	VMOVUPS 64(R8), Z1           \
+	VMOVUPS Z0, (DI)             \
+	VMOVUPS Z1, 64(DI)           \
+	ADDQ    AX, R8               \
+	ADDQ    $128, DI             \
+	DECQ    DX                   \
+	JNZ     rowLabel             \
+	ADDQ    $128, SI             \
+	DECQ    CX                   \
+	JNZ     label                \
+	VZEROUPPER                   \
+	RET
+
+// func spackRuns32(n, kc int, src []float32, ld int, dst []float32)
+TEXT ·spackRuns32(SB), NOSPLIT, $0-72
+	MOVQ n+0(FP), CX
+	MOVQ src_base+16(FP), SI
+	MOVQ ld+40(FP), AX
+	SHLQ $2, AX
+	MOVQ dst_base+48(FP), DI
+	MOVQ kc+8(FP), BX
+	PACK_RUNS(sruns, srunsrow)
+
+// func dpackRuns16(n, kc int, src []float64, ld int, dst []float64)
+TEXT ·dpackRuns16(SB), NOSPLIT, $0-72
+	MOVQ n+0(FP), CX
+	MOVQ src_base+16(FP), SI
+	MOVQ ld+40(FP), AX
+	SHLQ $3, AX
+	MOVQ dst_base+48(FP), DI
+	MOVQ kc+8(FP), BX
+	PACK_RUNS(druns, drunsrow)
+
+// The column leaves transpose 12 source columns into a 12-wide panel,
+// one 64-byte block of each column at a time: 16 float32 or 8 float64
+// rows of the panel, 768 bytes of it in both precisions. Column i of the
+// panel is read at R8 + i*ld (AX = ld and BX = 3*ld in bytes; R10 and R11
+// point at columns 4 and 8) into Z(i). The rows are packed into twelve
+// whole vectors and written at R9: twelve full stores, cache-line
+// aligned when the packed block is, in place of sixteen 48-byte row
+// stores, half of which straddle a cache line.
+
+// LOAD12 loads the next 64 bytes of each of the 12 columns into Z0..Z11.
+#define LOAD12 \
+	LEAQ    (R8)(AX*4), R10   \
+	LEAQ    (R10)(AX*4), R11  \
+	VMOVUPS (R8), Z0          \
+	VMOVUPS (R8)(AX*1), Z1    \
+	VMOVUPS (R8)(AX*2), Z2    \
+	VMOVUPS (R8)(BX*1), Z3    \
+	VMOVUPS (R10), Z4         \
+	VMOVUPS (R10)(AX*1), Z5   \
+	VMOVUPS (R10)(AX*2), Z6   \
+	VMOVUPS (R10)(BX*1), Z7   \
+	VMOVUPS (R11), Z8         \
+	VMOVUPS (R11)(AX*1), Z9   \
+	VMOVUPS (R11)(AX*2), Z10  \
+	VMOVUPS (R11)(BX*1), Z11
+
+// SQUAD interleaves four float32 columns a0..a3 so that, afterwards, each
+// 128-bit lane q of a(e) holds element 4q+e of the four columns, in
+// column order.
+#define SQUAD(a0, a1, a2, a3, t0, t1, t2, t3) \
+	VUNPCKLPS a1, a0, t0 \
+	VUNPCKHPS a1, a0, t1 \
+	VUNPCKLPS a3, a2, t2 \
+	VUNPCKHPS a3, a2, t3 \
+	VUNPCKLPD t2, t0, a0 \
+	VUNPCKHPD t2, t0, a1 \
+	VUNPCKLPD t3, t1, a2 \
+	VUNPCKHPD t3, t1, a3
+
+// SROWS4 gathers lane q of u0, u1 and u2 (columns 0-3, 4-7 and 8-11, as
+// SQUAD left them for element e) into lanes 0-2 of panel row 4q+e, in r0,
+// r4, r8 and r12 for q = 0..3. It clobbers u1 and Z28.
+#define SROWS4(u0, u1, u2, r0, r4, r8, r12) \
+	VSHUFF32X4 $0x44, u1, u0, Z28 \
+	VSHUFF32X4 $0xEE, u1, u0, u1  \
+	VSHUFF32X4 $0x08, u2, Z28, r0 \
+	VSHUFF32X4 $0x1D, u2, Z28, r4 \
+	VSHUFF32X4 $0x28, u2, u1, r8  \
+	VSHUFF32X4 $0x3D, u2, u1, r12
+
+// SPACK4 stores the four 12-element rows in lanes 0-2 of r0..r3 as the
+// three vectors they fill, at off(R9); x1 and x3 are the low 128 bits of
+// r1 and r3. It clobbers r0..r2.
+#define SPACK4(r0, r1, r2, r3, x1, x3, off) \
+	VINSERTF32X4 $3, x1, r0, r0   \
+	VSHUFF32X4   $0x49, r2, r1, r1 \
+	VSHUFF32X4   $0x92, r3, r2, r2 \
+	VINSERTF32X4 $1, x3, r2, r2   \
+	VMOVUPS      r0, off(R9)      \
+	VMOVUPS      r1, off+64(R9)   \
+	VMOVUPS      r2, off+128(R9)
+
+// DTRANS8 transposes the 8x8 float64 block whose columns are a0..a7 into
+// rows o0..o7, with Z12..Z23 as scratch.
+#define DTRANS8(a0, a1, a2, a3, a4, a5, a6, a7, o0, o1, o2, o3, o4, o5, o6, o7) \
+	VUNPCKLPD  a1, a0, Z12        \
+	VUNPCKHPD  a1, a0, Z13        \
+	VUNPCKLPD  a3, a2, Z14        \
+	VUNPCKHPD  a3, a2, Z15        \
+	VUNPCKLPD  a5, a4, Z16        \
+	VUNPCKHPD  a5, a4, Z17        \
+	VUNPCKLPD  a7, a6, Z18        \
+	VUNPCKHPD  a7, a6, Z19        \
+	VSHUFF64X2 $0x44, Z14, Z12, Z20 \
+	VSHUFF64X2 $0xEE, Z14, Z12, Z21 \
+	VSHUFF64X2 $0x44, Z18, Z16, Z22 \
+	VSHUFF64X2 $0xEE, Z18, Z16, Z23 \
+	VSHUFF64X2 $0x88, Z22, Z20, o0  \
+	VSHUFF64X2 $0xDD, Z22, Z20, o2  \
+	VSHUFF64X2 $0x88, Z23, Z21, o4  \
+	VSHUFF64X2 $0xDD, Z23, Z21, o6  \
+	VSHUFF64X2 $0x44, Z15, Z13, Z20 \
+	VSHUFF64X2 $0xEE, Z15, Z13, Z21 \
+	VSHUFF64X2 $0x44, Z19, Z17, Z22 \
+	VSHUFF64X2 $0xEE, Z19, Z17, Z23 \
+	VSHUFF64X2 $0x88, Z22, Z20, o1  \
+	VSHUFF64X2 $0xDD, Z22, Z20, o3  \
+	VSHUFF64X2 $0x88, Z23, Z21, o5  \
+	VSHUFF64X2 $0xDD, Z23, Z21, o7
+
+// DPACK2 stores two 12-element float64 rows, columns 0-7 in lo0 and lo1
+// and columns 8-11 in the low halves of hi0 and hi1, as the three vectors
+// they fill, at off(R9). It clobbers hi0 and lo1.
+#define DPACK2(lo0, hi0, lo1, hi1, off) \
+	VSHUFF64X2 $0x44, lo1, hi0, hi0 \
+	VSHUFF64X2 $0x4E, hi1, lo1, lo1 \
+	VMOVUPD    lo0, off(R9)         \
+	VMOVUPD    hi0, off+64(R9)      \
+	VMOVUPD    lo1, off+128(R9)
+
+// COLS12_PANELS runs body over R13 blocks of each of n panels: CX = n,
+// SI = column 0 of the first panel, DI = its packed rows, R12 = the
+// packed panel size kc*12 in bytes. The next panel's columns start
+// 12*ld bytes on.
+#define COLS12_PANELS(label, blockLabel, body) \
+label:                              \
+	MOVQ SI, R8                     \
+	MOVQ DI, R9                     \
+	MOVQ R13, DX                    \
+blockLabel:                         \
+	LOAD12                          \
+	body                            \
+	ADDQ $64, R8                    \
+	ADDQ $768, R9                   \
+	DECQ DX                         \
+	JNZ  blockLabel                 \
+	LEAQ (SI)(AX*8), SI             \
+	LEAQ (SI)(AX*4), SI             \
+	ADDQ R12, DI                    \
+	DECQ CX                         \
+	JNZ  label                      \
+	VZEROUPPER                      \
+	RET
+
+// SBLOCK packs 16 float32 rows: row r ends up in Z(12+r).
+#define SBLOCK \
+	SQUAD(Z0, Z1, Z2, Z3, Z12, Z13, Z14, Z15)      \
+	SQUAD(Z4, Z5, Z6, Z7, Z16, Z17, Z18, Z19)      \
+	SQUAD(Z8, Z9, Z10, Z11, Z20, Z21, Z22, Z23)    \
+	SROWS4(Z0, Z4, Z8, Z12, Z16, Z20, Z24)         \
+	SROWS4(Z1, Z5, Z9, Z13, Z17, Z21, Z25)         \
+	SROWS4(Z2, Z6, Z10, Z14, Z18, Z22, Z26)        \
+	SROWS4(Z3, Z7, Z11, Z15, Z19, Z23, Z27)        \
+	SPACK4(Z12, Z13, Z14, Z15, X13, X15, 0)        \
+	SPACK4(Z16, Z17, Z18, Z19, X17, X19, 192)      \
+	SPACK4(Z20, Z21, Z22, Z23, X21, X23, 384)      \
+	SPACK4(Z24, Z25, Z26, Z27, X25, X27, 576)
+
+// DBLOCK packs 8 float64 rows: columns 0-7 of row r in Z(24+r), columns
+// 8-11 in Z(r); the second DTRANS8 repeats columns 8-11 in place of the
+// four it lacks.
+#define DBLOCK \
+	DTRANS8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31) \
+	DTRANS8(Z8, Z9, Z10, Z11, Z8, Z9, Z10, Z11, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)     \
+	DPACK2(Z24, Z0, Z25, Z1, 0)                                                     \
+	DPACK2(Z26, Z2, Z27, Z3, 192)                                                   \
+	DPACK2(Z28, Z4, Z29, Z5, 384)                                                   \
+	DPACK2(Z30, Z6, Z31, Z7, 576)
+
+// func spackCols12(n, kb, kc int, src []float32, ld int, dst []float32)
+TEXT ·spackCols12(SB), NOSPLIT, $0-80
+	MOVQ  n+0(FP), CX
+	MOVQ  src_base+24(FP), SI
+	MOVQ  ld+48(FP), AX
+	SHLQ  $2, AX
+	LEAQ  (AX)(AX*2), BX
+	MOVQ  dst_base+56(FP), DI
+	MOVQ  kc+16(FP), R12
+	IMULQ $48, R12
+	MOVQ  kb+8(FP), R13
+	SHRQ  $4, R13
+	COLS12_PANELS(scols, scolsblock, SBLOCK)
+
+// func dpackCols12(n, kb, kc int, src []float64, ld int, dst []float64)
+TEXT ·dpackCols12(SB), NOSPLIT, $0-80
+	MOVQ  n+0(FP), CX
+	MOVQ  src_base+24(FP), SI
+	MOVQ  ld+48(FP), AX
+	SHLQ  $3, AX
+	LEAQ  (AX)(AX*2), BX
+	MOVQ  dst_base+56(FP), DI
+	MOVQ  kc+16(FP), R12
+	IMULQ $96, R12
+	MOVQ  kb+8(FP), R13
+	SHRQ  $3, R13
+	COLS12_PANELS(dcols, dcolsblock, DBLOCK)

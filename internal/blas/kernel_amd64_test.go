@@ -6,9 +6,11 @@ import "testing"
 // of the assembly leaves: each Go wrapper must panic on any operand one
 // element shorter than the leaf would touch, before entering assembly.
 // A GEMM tile of C is short when its leading dimension is below mr or
-// the slice ends before the last column's mr elements. None of these
-// calls reaches the assembly, so the test runs on every amd64 CPU; where
-// the probe allows a wrapper's leaves, the exactly sized call must run.
+// the slice ends before the last column's mr elements. The pack wrappers
+// are called on full panels only, so that their leaves would touch every
+// element of both operands. None of these calls reaches the assembly, so
+// the test runs on every amd64 CPU; where the probe allows a wrapper's
+// leaves, the exactly sized call must run.
 func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 	const kc, m, lda = 5, 21, 23
 	// cut returns n, or n-1 when operand i is the one to cut short.
@@ -40,6 +42,31 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 			kernel(kc, 1, make([]float64, lenA), make([]float64, lenB), 0.5, make([]float64, lenC), ldc)
 		})
 	}
+	// packs runs a pack wrapper through call on two full panels of its
+	// leaf's width lw, kc deep (a whole number of the leaf's row blocks,
+	// so the leaf touches every element), with ld padded by 3; the
+	// operands are src and dst, in that order.
+	packs := func(runs bool, lw, kc int, call func(lenSrc, lenDst, ld, cnt, kc, w int)) func(short int) {
+		return func(short int) {
+			cnt := 2 * lw
+			ld, lenSrc := cnt+3, (kc-1)*(cnt+3)+cnt
+			if !runs {
+				ld, lenSrc = kc+3, (cnt-1)*(kc+3)+kc
+			}
+			call(cut(lenSrc, 0, short), cut(cnt*kc, 1, short), ld, cnt, kc, lw)
+		}
+	}
+	pack32 := func(leaf func(src []float32, ld, cnt, kc, w int, dst []float32)) func(lenSrc, lenDst, ld, cnt, kc, w int) {
+		return func(lenSrc, lenDst, ld, cnt, kc, w int) {
+			leaf(make([]float32, lenSrc), ld, cnt, kc, w, make([]float32, lenDst))
+		}
+	}
+	pack64 := func(leaf func(src []float64, ld, cnt, kc, w int, dst []float64)) func(lenSrc, lenDst, ld, cnt, kc, w int) {
+		return func(lenSrc, lenDst, ld, cnt, kc, w int) {
+			leaf(make([]float64, lenSrc), ld, cnt, kc, w, make([]float64, lenDst))
+		}
+	}
+	packOperands := []string{"src", "dst"}
 	gemmOperands := []string{"ap", "bp", "c", "ldc"}
 	wrappers := []struct {
 		name     string
@@ -51,6 +78,10 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 		{"microKernel16x12", "avx512", gemmOperands, tile64(16, 12, microKernel16x12)},
 		{"microKernel16x6", "avx2", gemmOperands, tile32(16, 6, microKernel16x6)},
 		{"microKernel8x6", "avx2", gemmOperands, tile64(8, 6, microKernel8x6)},
+		{"packRuns32", "avx512", packOperands, packs(true, 32, kc, pack32(packRuns32))},
+		{"packRuns64", "avx512", packOperands, packs(true, 16, kc, pack64(packRuns64))},
+		{"packCols32", "avx512", packOperands, packs(false, 12, 32, pack32(packCols32))},
+		{"packCols64", "avx512", packOperands, packs(false, 12, 16, pack64(packCols64))},
 		{"sgemvCols4", "avx2", []string{"a", "y"}, func(short int) {
 			sgemvCols4(m, 1, 2, 3, 4, make([]float32, cut(3*lda+m, 0, short)), lda, make([]float32, cut(m, 1, short)))
 		}},

@@ -7,8 +7,9 @@ import "sync"
 //
 //   - the GEMM blocking: mc x kc panels of A, kc x nc panels of B, and the
 //     mr x nr register tile;
-//   - the register micro-kernel that computes one mr x nr tile of C, and
-//     the column kernel of the GEMV NoTrans driver;
+//   - the register micro-kernel that computes one mr x nr tile of C, the
+//     two pack leaves that lay operand blocks out in its panels, and the
+//     column kernel of the GEMV NoTrans driver;
 //   - the free list of GEMM packing buffers, sized from the blocking.
 //
 // Each precision has three descriptors. The portable one runs pure-Go
@@ -30,6 +31,11 @@ type precision[T float] struct {
 	// With beta == 0 it never reads C, so C may hold anything, NaN
 	// included.
 	microKernel func(kc int, alpha T, ap, bp []T, beta T, c []T, ldc int)
+	// packRuns and packCols pack a cnt x kc operand block into w-wide
+	// panels as the generic packRuns and packCols do, bit for bit: the
+	// NoTrans A and Trans B blocks are runs, the NoTrans B and Trans A
+	// blocks are columns.
+	packRuns, packCols func(src []T, ld, cnt, kc, w int, dst []T)
 	// gemvCols4 adds x0*c0 + x1*c1 + x2*c2 + x3*c3 to y[:m], where c_j is
 	// column j of a (leading dimension lda), over the longest prefix of
 	// the m rows its vector width covers, and returns that prefix's
@@ -45,12 +51,14 @@ type precision[T float] struct {
 // intensity per packed-panel load, and the A panel doubles with it.
 var portable32 = &precision[float32]{
 	mc: 256, kc: 256, nc: 1024, mr: 8, nr: 4,
-	microKernel: microKernel8x4, gemvCols4: gemvCols4[float32], packs: new(packBuffers[float32]),
+	microKernel: microKernel8x4, packRuns: packRuns[float32], packCols: packCols[float32],
+	gemvCols4: gemvCols4[float32], packs: new(packBuffers[float32]),
 }
 
 var portable64 = &precision[float64]{
 	mc: 128, kc: 256, nc: 1024, mr: 4, nr: 4,
-	microKernel: microKernel4x4, gemvCols4: gemvCols4[float64], packs: new(packBuffers[float64]),
+	microKernel: microKernel4x4, packRuns: packRuns[float64], packCols: packCols[float64],
+	gemvCols4: gemvCols4[float64], packs: new(packBuffers[float64]),
 }
 
 // simdLevel is one pair of SIMD descriptors and whether this CPU can run

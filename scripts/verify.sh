@@ -38,8 +38,10 @@
 #                      bench_data/ efficiency tables — leave-one-out
 #                      interpolation for the measured CPU table, a
 #                      reference-model comparison for the synthetic GPU
-#                      table — with no kernel re-runs; refreshes the
-#                      FIDELITY.md report
+#                      table — with no kernel re-runs; rewrites the
+#                      FIDELITY.md report, a pure function of the
+#                      committed tables and bands, and inside a git work
+#                      tree fails if it differs from the committed file
 #   8. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
 #                      the advisor trace CSV, the fault-plan JSON, the
 #                      config hash that keys the service cache, the
@@ -132,6 +134,9 @@ end
 
 begin "blob-calibrate fidelity (model-fidelity gate, no kernel re-runs)"
 go run ./cmd/blob-calibrate fidelity -report FIDELITY.md
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+	git diff --exit-code -- FIDELITY.md
+fi
 end
 
 begin "fuzz smoke (10s per target)"
