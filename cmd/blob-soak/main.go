@@ -82,8 +82,8 @@ import (
 // version they do not know.
 const SchemaVersion = "blob-soak/v1"
 
-// The SLO ceilings. fastP99SLO bounds the immediate tiers (sheds and
-// cache hits); goroutineTolerance absorbs runtime bookkeeping noise on
+// The SLO ceilings. fastP99SLO bounds the immediate tiers (cache hits,
+// dispatch batches and every shed but "abandoned"); goroutineTolerance absorbs runtime bookkeeping noise on
 // top of the pre-profile baseline.
 const (
 	fastP99SLO         = 250 * time.Millisecond
@@ -621,7 +621,12 @@ func score(res *ProfileResult, shots []shot, hotWarmed bool) {
 		case s.status == http.StatusTooManyRequests || s.status == http.StatusServiceUnavailable:
 			shed++
 			res.Sheds[s.reason]++
-			fast = append(fast, s.latency)
+			// An abandoned follower waited in the queue for its flight's
+			// initiator; it is a queue wait, not an immediate answer, so it
+			// stays out of the fast tier.
+			if s.reason != "abandoned" {
+				fast = append(fast, s.latency)
+			}
 		default:
 			shed++
 			res.Sheds[s.reason]++

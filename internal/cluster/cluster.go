@@ -22,7 +22,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 
@@ -84,47 +84,32 @@ func (p *Pool) HelloHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeWireError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+			service.WriteError(w, http.StatusMethodNotAllowed, "", errUsePost)
 			return
 		}
 		body, err := readLimit(r, 1<<16)
 		if err != nil {
-			writeWireError(w, http.StatusBadRequest, "bad_request", err.Error())
+			service.WriteError(w, http.StatusBadRequest, "", err)
 			return
 		}
 		msg, err := ParseMessage(body)
 		if err != nil {
-			writeWireError(w, http.StatusBadRequest, "bad_request", err.Error())
+			service.WriteError(w, http.StatusBadRequest, "", err)
 			return
 		}
 		if err := p.Apply(msg); err != nil {
-			writeWireError(w, http.StatusBadRequest, "bad_request", err.Error())
+			service.WriteError(w, http.StatusBadRequest, "", err)
 			return
 		}
-		ack := Message{Type: TypeHeartbeat, From: p.self, Ring: p.Ring().Fingerprint()}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(ack)
+		service.WriteJSON(w, http.StatusOK, Message{Type: TypeHeartbeat, From: p.self, Ring: p.Ring().Fingerprint()})
 	})
 }
+
+// errUsePost is the 405 message of every POST-only endpoint.
+var errUsePost = errors.New("use POST")
 
 // readLimit reads at most limit bytes of request body.
 func readLimit(r *http.Request, limit int64) ([]byte, error) {
 	defer r.Body.Close()
 	return io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
-}
-
-// writeWireError writes the service's unified v1 error envelope, so
-// cluster-internal endpoints reject with the same shape clients
-// already parse.
-func writeWireError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(service.Envelope{
-		Schema: service.SchemaError,
-		Error:  &service.APIError{Code: code, Message: msg},
-	})
 }

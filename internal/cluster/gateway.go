@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -144,12 +145,12 @@ func (g *Gateway) post(h func(http.ResponseWriter, *http.Request, []byte, time.T
 		arrived := time.Now()
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeWireError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
+			service.WriteError(w, http.StatusMethodNotAllowed, "", errUsePost)
 			return
 		}
 		body, err := readLimit(r, 64<<20)
 		if err != nil {
-			writeWireError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("reading body: %v", err))
+			service.WriteError(w, http.StatusBadRequest, "", fmt.Errorf("reading body: %w", err))
 			return
 		}
 		h(w, r, body, arrived)
@@ -161,13 +162,13 @@ func (g *Gateway) post(h func(http.ResponseWriter, *http.Request, []byte, time.T
 // cheaper than a proxy hop, and it keeps garbage off the ring.
 func (g *Gateway) routeThreshold(w http.ResponseWriter, r *http.Request, body []byte, arrived time.Time) {
 	var req service.ThresholdRequest
-	if err := strictUnmarshal(body, &req); err != nil {
-		writeWireError(w, http.StatusBadRequest, "bad_request", err.Error())
+	if err := service.DecodeStrict(bytes.NewReader(body), &req); err != nil {
+		service.WriteError(w, http.StatusBadRequest, "", err)
 		return
 	}
 	key, err := service.ThresholdRouteKey(req, g.opts.MaxSweepDim)
 	if err != nil {
-		writeWireError(w, http.StatusBadRequest, "bad_request", err.Error())
+		service.WriteError(w, http.StatusBadRequest, "", err)
 		return
 	}
 	g.route(w, r, key, body, true, arrived)
@@ -178,16 +179,42 @@ func (g *Gateway) routeThreshold(w http.ResponseWriter, r *http.Request, body []
 // Dispatch is never hedged (hedgeable=false): the dispatcher's
 // hysteresis state makes a duplicated batch observable.
 func (g *Gateway) routeDispatch(w http.ResponseWriter, r *http.Request, body []byte, arrived time.Time) {
-	var req struct {
-		System string `json:"system"`
-	}
-	// Lenient decode: only the routing field matters here; the replica
-	// strict-decodes the full batch.
-	if err := json.Unmarshal(body, &req); err != nil || req.System == "" {
-		writeWireError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: want a dispatch batch with a system field")
+	system := dispatchSystem(body)
+	if system == "" {
+		service.WriteError(w, http.StatusBadRequest, "", errors.New("invalid JSON body: want a dispatch batch with a system field"))
 		return
 	}
-	g.route(w, r, "dispatch|"+req.System, body, false, arrived)
+	g.route(w, r, "dispatch|"+system, body, false, arrived)
+}
+
+// dispatchSystem reads a dispatch batch's routing field in one scan: it
+// streams the top-level keys and stops at "system" ("" when the body is
+// not an object or has no string system). Clients encode system before
+// the call list, so a 64-call batch is not scanned to its end here; the
+// replica strict-decodes the whole batch.
+func dispatchSystem(body []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return ""
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		if k, _ := key.(string); strings.EqualFold(k, "system") {
+			var system string
+			if dec.Decode(&system) != nil {
+				return ""
+			}
+			return system
+		}
+		var skip json.RawMessage
+		if dec.Decode(&skip) != nil {
+			return ""
+		}
+	}
+	return ""
 }
 
 // routeByDigest routes stateless endpoints by a digest of the body:
@@ -259,7 +286,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key string, body
 	if lastErr != nil {
 		msg = fmt.Sprintf("%s (last error: %v)", msg, lastErr)
 	}
-	rejectWire(w, http.StatusServiceUnavailable, "no_peer", msg, 1)
+	service.Reject(w, http.StatusServiceUnavailable, "no_peer", time.Second, errors.New(msg))
 }
 
 // relay copies a replica's response to the client byte-for-byte,
@@ -292,7 +319,7 @@ func forwardHeaders(r *http.Request) http.Header {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeWireEnvelope(w, http.StatusOK, service.SchemaHealth, service.HealthBody{
+	service.WriteEnvelope(w, http.StatusOK, service.SchemaHealth, service.HealthBody{
 		Status:        "ok",
 		UptimeSeconds: time.Since(g.start).Seconds(),
 	})
@@ -302,10 +329,10 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // the ring — with zero owners every route would answer 503 no_peer.
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if len(g.pool.Ring().Members()) == 0 {
-		rejectWire(w, http.StatusServiceUnavailable, "not_ready", "no healthy replicas in the ring", 1)
+		service.Reject(w, http.StatusServiceUnavailable, "not_ready", time.Second, errors.New("no healthy replicas in the ring"))
 		return
 	}
-	writeWireEnvelope(w, http.StatusOK, service.SchemaReady, service.ReadyBody{
+	service.WriteEnvelope(w, http.StatusOK, service.SchemaReady, service.ReadyBody{
 		Status:        "ready",
 		WorkersArmed:  true, // the gateway has no pool to arm
 		UptimeSeconds: time.Since(g.start).Seconds(),
@@ -354,42 +381,4 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	_, _ = io.WriteString(w, b.String())
-}
-
-// strictUnmarshal mirrors the service's strict request decoding:
-// unknown fields and trailing bytes are the client's error.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("invalid JSON body: trailing data")
-	}
-	return nil
-}
-
-// writeWireEnvelope writes a success envelope (the gateway's own
-// non-proxied endpoints speak the same v1 contract as the replicas).
-func writeWireEnvelope(w http.ResponseWriter, status int, schema string, data any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(service.Envelope{Schema: schema, Data: data})
-}
-
-// rejectWire writes the uniform rejection contract (Retry-After header
-// mirrored in error.retry_after_s).
-func rejectWire(w http.ResponseWriter, status int, code, msg string, retryAfterS int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", fmt.Sprint(retryAfterS))
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(service.Envelope{
-		Schema: service.SchemaError,
-		Error:  &service.APIError{Code: code, Message: msg, RetryAfterS: retryAfterS},
-	})
 }

@@ -369,3 +369,29 @@ func getBody(t *testing.T, url string) string {
 	}
 	return string(data)
 }
+
+// TestDispatchSystem: the dispatch route key is the batch's system,
+// found wherever it sits among the top-level keys (matched like
+// encoding/json matches field names, case-insensitively); a body with
+// no string system yields "" and a 400 at the gateway. Scanning stops at
+// system, so bytes after it are left to the replica's strict decode.
+func TestDispatchSystem(t *testing.T) {
+	cases := []struct{ body, want string }{
+		{`{"system":"dawn","calls":[{"kernel":"gemm","m":1}]}`, "dawn"},
+		{`{"calls":[{"kernel":"gemm","m":1,"n":2}],"system":"lumi"}`, "lumi"},
+		{`{"System":"isambard-ai"}`, "isambard-ai"},
+		{`{"system":"dawn","calls":[` + "\x00", "dawn"},
+		{`{"calls":[]}`, ""},
+		{`{"system":5}`, ""},
+		{`{"system":""}`, ""},
+		{`["system","dawn"]`, ""},
+		{`{"calls":[1,}`, ""},
+		{`not json`, ""},
+		{``, ""},
+	}
+	for _, tc := range cases {
+		if got := dispatchSystem([]byte(tc.body)); got != tc.want {
+			t.Errorf("dispatchSystem(%q) = %q, want %q", tc.body, got, tc.want)
+		}
+	}
+}

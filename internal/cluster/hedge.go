@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/resilience"
+	"repro/internal/service"
 )
 
 // deadlineHeader is the end-to-end deadline budget header. The client
@@ -114,8 +116,8 @@ func (g *Gateway) hopHeaders(r *http.Request, budget time.Duration, arrived time
 // arrive in time anyway.
 func (g *Gateway) rejectDeadline(w http.ResponseWriter, budget time.Duration) {
 	g.metrics.deadlineGone.Inc()
-	rejectWire(w, http.StatusGatewayTimeout, "deadline_exceeded",
-		fmt.Sprintf("deadline budget of %s spent before the request could be forwarded", budget), 1)
+	service.Reject(w, http.StatusGatewayTimeout, "deadline_exceeded", time.Second,
+		fmt.Errorf("deadline budget of %s spent before the request could be forwarded", budget))
 }
 
 // hedgeAttempt is one in-flight proxy attempt in a hedged race.
@@ -279,5 +281,5 @@ func (g *Gateway) routeHedged(w http.ResponseWriter, r *http.Request, owners []s
 	if lastErr != nil {
 		msg = fmt.Sprintf("%s (last error: %v)", msg, lastErr)
 	}
-	rejectWire(w, http.StatusServiceUnavailable, "no_peer", msg, 1)
+	service.Reject(w, http.StatusServiceUnavailable, "no_peer", time.Second, errors.New(msg))
 }

@@ -84,10 +84,10 @@ type AdviseResponse struct {
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	resp, status, err := s.advise(r)
 	if err != nil {
-		writeError(w, status, err)
+		WriteError(w, status, "", err)
 		return
 	}
-	writeEnvelope(w, status, SchemaAdvise, resp)
+	WriteEnvelope(w, status, SchemaAdvise, resp)
 }
 
 // advise decodes, validates and evaluates one advise request, returning

@@ -84,25 +84,25 @@ const dispatchBodyLimit = 8 << 20
 
 func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	var req DispatchRequest
-	if err := decodeJSONLimit(r, &req, dispatchBodyLimit); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := DecodeStrict(http.MaxBytesReader(nil, r.Body, dispatchBodyLimit), &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "", err)
 		return
 	}
 	if req.System == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("system must be set"))
+		WriteError(w, http.StatusBadRequest, "", fmt.Errorf("system must be set"))
 		return
 	}
 	sys, err := systems.ByName(req.System)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, "", err)
 		return
 	}
 	if len(req.Calls) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("calls must not be empty"))
+		WriteError(w, http.StatusBadRequest, "", fmt.Errorf("calls must not be empty"))
 		return
 	}
 	if len(req.Calls) > s.opts.MaxDispatchBatch {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest, "",
 			fmt.Errorf("batch of %d calls exceeds the service limit %d", len(req.Calls), s.opts.MaxDispatchBatch))
 		return
 	}
@@ -113,7 +113,7 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	for i, cr := range req.Calls {
 		c, err := cr.toCall()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("calls[%d]: %w", i, err))
+			WriteError(w, http.StatusBadRequest, "", fmt.Errorf("calls[%d]: %w", i, err))
 			return
 		}
 		calls = append(calls, offload.Call{Call: c, Resident: cr.Resident})
@@ -140,7 +140,7 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			// Calls were validated above, so this is a server-side failure.
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, "", err)
 			return
 		}
 		body := DecisionBody{
@@ -162,5 +162,5 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.DispatchBatches.Inc()
 	s.metrics.DispatchDecisions.Add(int64(len(resp.Decisions)))
 	s.metrics.DispatchCacheHits.Add(int64(resp.CacheHits))
-	writeEnvelope(w, http.StatusOK, SchemaDispatch, resp)
+	WriteEnvelope(w, http.StatusOK, SchemaDispatch, resp)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"strconv"
@@ -9,11 +10,11 @@ import (
 
 // This file is the unified v1 response contract. Every v1 endpoint —
 // /v1/advise, /v1/threshold, /v1/dispatch, plus /healthz — answers with
-// the same envelope:
+// the same envelope, written compact on one line by WriteJSON:
 //
-//	{"schema": "blob.v1.advise", "data": {...}}             on success
-//	{"schema": "blob.v1.error", "error": {"code": "...",    on failure
-//	  "message": "...", "retry_after_s": 2}}
+//	{"schema":"blob.v1.advise","data":{...}}          on success
+//	{"schema":"blob.v1.error","error":{"code":"...",  on failure
+//	  "message":"...","retry_after_s":2}}
 //
 // The schema token names the shape of data, so clients can dispatch on
 // it without sniffing fields, and the error object carries the
@@ -79,18 +80,27 @@ type ReadyBody struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// writeEnvelope writes a success envelope around data.
-func writeEnvelope(w http.ResponseWriter, status int, schema string, data any) {
-	writeJSON(w, status, Envelope{Schema: schema, Data: data})
+// WriteJSON is the service's one JSON reply writer: v encoded compact,
+// one line, newline-terminated. Every HTTP reply body in the service
+// and the cluster goes through it, so the wire has a single shape.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v) // the client hanging up mid-body is not actionable
 }
 
-// writeAPIError writes an error envelope. code "" derives a generic code
+// WriteEnvelope writes a success envelope around data.
+func WriteEnvelope(w http.ResponseWriter, status int, schema string, data any) {
+	WriteJSON(w, status, Envelope{Schema: schema, Data: data})
+}
+
+// WriteError writes an error envelope. code "" derives a generic code
 // from the status.
-func writeAPIError(w http.ResponseWriter, status int, code string, err error) {
+func WriteError(w http.ResponseWriter, status int, code string, err error) {
 	if code == "" {
 		code = codeForStatus(status)
 	}
-	writeJSON(w, status, Envelope{
+	WriteJSON(w, status, Envelope{
 		Schema: SchemaError,
 		Error:  &APIError{Code: code, Message: err.Error()},
 	})
@@ -122,14 +132,14 @@ func retryAfterSeconds(retryAfter time.Duration) int {
 	return secs
 }
 
-// reject writes the uniform rejection contract for load-shedding and
+// Reject writes the uniform rejection contract for load-shedding and
 // refusal responses: the Retry-After header and error.retry_after_s
 // carry the same whole-second hint, and error.code carries the
 // machine-readable rejection class.
-func reject(w http.ResponseWriter, status int, code string, retryAfter time.Duration, err error) {
+func Reject(w http.ResponseWriter, status int, code string, retryAfter time.Duration, err error) {
 	secs := retryAfterSeconds(retryAfter)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, status, Envelope{
+	WriteJSON(w, status, Envelope{
 		Schema: SchemaError,
 		Error:  &APIError{Code: code, Message: err.Error(), RetryAfterS: secs},
 	})

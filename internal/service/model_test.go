@@ -31,7 +31,7 @@ func TestThresholdModelBlackbox(t *testing.T) {
 	if black.Model != "blackbox" {
 		t.Fatalf("blackbox response model = %q", black.Model)
 	}
-	if !strings.Contains(body, `"model": "blackbox"`) {
+	if !strings.Contains(body, `"model":"blackbox"`) {
 		t.Fatalf("blackbox body lacks the model tag: %s", body)
 	}
 	if black.Samples != 96 || len(black.Thresholds) == 0 {

@@ -336,7 +336,7 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 			s.log.Error("panic recovered",
 				"method", r.Method, "path", r.URL.Path, "panic", fmt.Sprint(rec))
 			if sw, ok := w.(*statusWriter); !ok || !sw.wrote {
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error"))
+				WriteError(w, http.StatusInternalServerError, "", fmt.Errorf("internal error"))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -371,7 +371,7 @@ func (s *Server) requirePost(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+			WriteError(w, http.StatusMethodNotAllowed, "", fmt.Errorf("use POST"))
 			return
 		}
 		h(w, r)
@@ -379,7 +379,7 @@ func (s *Server) requirePost(h http.HandlerFunc) http.Handler {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeEnvelope(w, http.StatusOK, SchemaHealth, HealthBody{
+	WriteEnvelope(w, http.StatusOK, SchemaHealth, HealthBody{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	})
@@ -393,10 +393,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	ready, reason := s.Ready()
 	if !ready {
-		reject(w, http.StatusServiceUnavailable, "not_ready", time.Second, errors.New(reason))
+		Reject(w, http.StatusServiceUnavailable, "not_ready", time.Second, errors.New(reason))
 		return
 	}
-	writeEnvelope(w, http.StatusOK, SchemaReady, ReadyBody{
+	WriteEnvelope(w, http.StatusOK, SchemaReady, ReadyBody{
 		Status:        "ready",
 		Draining:      false,
 		WorkersArmed:  true,
@@ -411,38 +411,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeError writes the unified v1 error envelope with a generic code
-// derived from the status; paths with a more specific classification use
-// writeAPIError or reject directly.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeAPIError(w, status, "", err)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client hanging up mid-body is not actionable
-}
-
-// decodeJSON decodes one JSON object from r into v, rejecting unknown
-// fields and trailing garbage so malformed requests fail loudly.
+// decodeJSON strict-decodes a request body of at most 1 MiB into v.
 func decodeJSON(r *http.Request, v any) error {
-	return decodeJSONLimit(r, v, 1<<20)
+	return DecodeStrict(http.MaxBytesReader(nil, r.Body, 1<<20), v)
 }
 
-// decodeJSONLimit is decodeJSON with a caller-chosen body cap — the
-// dispatch endpoint accepts multi-thousand-call batches that outgrow the
-// default 1 MiB limit.
-func decodeJSONLimit(r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
+// DecodeStrict decodes one JSON object from r into v, rejecting unknown
+// fields and trailing garbage so malformed requests fail loudly. The
+// replicas and the cluster gateway decode requests through it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	if dec.More() {
-		return fmt.Errorf("invalid JSON body: trailing data")
+		return errTrailingData
 	}
 	return nil
 }
+
+// errTrailingData rejects a request body with bytes after its object.
+var errTrailingData = errors.New("invalid JSON body: trailing data")

@@ -228,17 +228,17 @@ func requestBudget(r *http.Request, serverTimeout time.Duration) (time.Duration,
 func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	var req ThresholdRequest
 	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, "", err)
 		return
 	}
 	plan, err := s.resolveThreshold(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, "", err)
 		return
 	}
 	budget, err := requestBudget(r, s.opts.RequestTimeout)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, "", err)
 		return
 	}
 	// The deadline budget covers everything after request validation:
@@ -256,7 +256,7 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 		s.metrics.CacheHits.Inc()
 		resp := v.(ThresholdResponse)
 		resp.Cached = true
-		writeEnvelope(w, http.StatusOK, SchemaThreshold, resp)
+		WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
 		return
 	}
 	s.metrics.CacheMisses.Inc()
@@ -268,7 +268,7 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	// controller's live p50 sweep cost, same as a timed-out request.
 	if budget > 0 && s.opts.MinSweepBudget > 0 && budget < s.opts.MinSweepBudget {
 		s.metrics.TimeoutsTotal.Inc()
-		reject(w, http.StatusGatewayTimeout, "deadline_exceeded", s.admission.P50Cost(),
+		Reject(w, http.StatusGatewayTimeout, "deadline_exceeded", s.admission.P50Cost(),
 			fmt.Errorf("deadline budget %s is below the minimum sweep budget %s", budget, s.opts.MinSweepBudget))
 		return
 	}
@@ -287,7 +287,7 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 			stored := *resp
 			stored.Cached, stored.Deduplicated, stored.Stale = false, false, false
 			s.cache.Put(plan.key, stored)
-			writeEnvelope(w, http.StatusOK, SchemaThreshold, *resp)
+			WriteEnvelope(w, http.StatusOK, SchemaThreshold, *resp)
 			return
 		case ferr != nil:
 			s.metrics.PeerFillFallbacks.Inc()
@@ -308,10 +308,10 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 			resp := v.(ThresholdResponse)
 			resp.Cached = true
 			resp.Stale = true
-			writeEnvelope(w, http.StatusOK, SchemaThreshold, resp)
+			WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
 			return
 		}
-		reject(w, http.StatusServiceUnavailable, "breaker_open", time.Second, resilience.ErrOpen)
+		Reject(w, http.StatusServiceUnavailable, "breaker_open", time.Second, resilience.ErrOpen)
 		return
 	}
 
@@ -374,7 +374,7 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		resp := val.(ThresholdResponse)
 		resp.Deduplicated = shared
-		writeEnvelope(w, http.StatusOK, SchemaThreshold, resp)
+		WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
 	case errors.Is(err, resilience.ErrOpen):
 		// Graceful degradation: an open breaker means the backend is
 		// known-unhealthy, so prefer the last known answer — clearly
@@ -385,10 +385,10 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 			resp := v.(ThresholdResponse)
 			resp.Cached = true
 			resp.Stale = true
-			writeEnvelope(w, http.StatusOK, SchemaThreshold, resp)
+			WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
 			return
 		}
-		reject(w, http.StatusServiceUnavailable, "breaker_open", time.Second, err)
+		Reject(w, http.StatusServiceUnavailable, "breaker_open", time.Second, err)
 	case errors.As(err, &shed):
 		// Admission shed the leader before any sweep work ran. Quota
 		// refusals are the client's own doing (429); the rest are server
@@ -399,14 +399,14 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 		if shed.Reason == overload.ReasonQuota {
 			status = http.StatusTooManyRequests
 		}
-		reject(w, status, string(shed.Reason), shed.RetryAfter, err)
+		Reject(w, status, string(shed.Reason), shed.RetryAfter, err)
 	case errors.Is(err, ErrQueueFull):
-		reject(w, http.StatusServiceUnavailable, "queue_full", time.Second, err)
+		Reject(w, http.StatusServiceUnavailable, "queue_full", time.Second, err)
 	case errors.Is(err, ErrPoolClosed):
-		reject(w, http.StatusServiceUnavailable, "shutting_down", time.Second, err)
+		Reject(w, http.StatusServiceUnavailable, "shutting_down", time.Second, err)
 	case resilience.Expired(ctx):
 		s.metrics.TimeoutsTotal.Inc()
-		reject(w, http.StatusGatewayTimeout, "deadline_exceeded", s.admission.P50Cost(),
+		Reject(w, http.StatusGatewayTimeout, "deadline_exceeded", s.admission.P50Cost(),
 			fmt.Errorf("request timed out after %s", budget))
 	case r.Context().Err() != nil:
 		// The client hung up; nobody is reading this response, but record
@@ -419,10 +419,10 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 		// cancellation is inherited from a flight leader that gave up while
 		// queued in admission. The follower's request was never charged; a
 		// retry starts a fresh flight.
-		reject(w, http.StatusServiceUnavailable, "abandoned", time.Second,
+		Reject(w, http.StatusServiceUnavailable, "abandoned", time.Second,
 			fmt.Errorf("shared sweep abandoned by its initiator"))
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, "", err)
 	}
 }
 

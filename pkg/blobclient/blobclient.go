@@ -153,21 +153,13 @@ func New(opts Options) *Client {
 
 // Advise evaluates a batch of call groups (POST /v1/advise).
 func (c *Client) Advise(ctx context.Context, req service.AdviseRequest) (*service.AdviseResponse, error) {
-	var out service.AdviseResponse
-	if err := c.call(ctx, "/v1/advise", service.SchemaAdvise, req, &out, nil); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[service.AdviseResponse](ctx, c, "/v1/advise", service.SchemaAdvise, req, nil)
 }
 
 // Threshold runs (or fetches from cache) one offload-threshold sweep
 // (POST /v1/threshold).
 func (c *Client) Threshold(ctx context.Context, req service.ThresholdRequest) (*service.ThresholdResponse, error) {
-	var out service.ThresholdResponse
-	if err := c.call(ctx, "/v1/threshold", service.SchemaThreshold, req, &out, nil); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[service.ThresholdResponse](ctx, c, "/v1/threshold", service.SchemaThreshold, req, nil)
 }
 
 // ThresholdPeer is Threshold with the peer cache-fill marker
@@ -176,22 +168,14 @@ func (c *Client) Threshold(ctx context.Context, req service.ThresholdRequest) (*
 // computes locally, but never fans out another fill — the cluster's
 // loop guard.
 func (c *Client) ThresholdPeer(ctx context.Context, req service.ThresholdRequest, origin string) (*service.ThresholdResponse, error) {
-	var out service.ThresholdResponse
 	hdr := map[string]string{service.PeerFillHeader: origin}
-	if err := c.call(ctx, "/v1/threshold", service.SchemaThreshold, req, &out, hdr); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[service.ThresholdResponse](ctx, c, "/v1/threshold", service.SchemaThreshold, req, hdr)
 }
 
 // DispatchBatch routes a batch of call shapes through the server's
 // offload dispatcher (POST /v1/dispatch).
 func (c *Client) DispatchBatch(ctx context.Context, req service.DispatchRequest) (*service.DispatchResponse, error) {
-	var out service.DispatchResponse
-	if err := c.call(ctx, "/v1/dispatch", service.SchemaDispatch, req, &out, nil); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[service.DispatchResponse](ctx, c, "/v1/dispatch", service.SchemaDispatch, req, nil)
 }
 
 // Health reads the liveness endpoint (GET /healthz).
@@ -200,11 +184,7 @@ func (c *Client) Health(ctx context.Context) (*service.HealthBody, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out service.HealthBody
-	if err := c.roundTrip(httpReq, service.SchemaHealth, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[service.HealthBody](c, httpReq, service.SchemaHealth)
 }
 
 // Ready reads the readiness endpoint (GET /readyz) — distinct from
@@ -216,11 +196,7 @@ func (c *Client) Ready(ctx context.Context) (*service.ReadyBody, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out service.ReadyBody
-	if err := c.roundTrip(httpReq, service.SchemaReady, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[service.ReadyBody](c, httpReq, service.SchemaReady)
 }
 
 // Metrics scrapes the Prometheus text exposition (GET /metrics).
@@ -249,33 +225,33 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // outcome; resilience.IsTransient decides retryability (APIError
 // implements Transienter), and a server Retry-After hint raises the
 // backoff floor for the next attempt.
-func (c *Client) call(ctx context.Context, path, schema string, in, out any, hdr map[string]string) error {
+func call[T any](ctx context.Context, c *Client, path, schema string, in any, hdr map[string]string) (*T, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	for attempt := 1; ; attempt++ {
+	for n := 1; ; n++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		err := c.attempt(ctx, path, body, schema, out, hdr)
+		out, err := attempt[T](ctx, c, path, body, schema, hdr)
 		if err == nil {
-			return nil
+			return out, nil
 		}
-		if attempt >= attempts || !resilience.IsTransient(err) {
-			return err
+		if n >= attempts || !resilience.IsTransient(err) {
+			return nil, err
 		}
-		delay := c.retry.Delay(attempt)
+		delay := c.retry.Delay(n)
 		var ae *APIError
 		if errors.As(err, &ae) && ae.RetryAfter > delay {
 			delay = ae.RetryAfter
 		}
 		if serr := sleep(ctx, delay); serr != nil {
-			return serr
+			return nil, serr
 		}
 	}
 }
@@ -286,11 +262,11 @@ func (c *Client) call(ctx context.Context, path, schema string, in, out any, hdr
 // it as a success keeps one buggy caller from opening the breaker for
 // everyone sharing the client. Context cancellation likewise proves
 // nothing about the server.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, schema string, out any, hdr map[string]string) error {
+func attempt[T any](ctx context.Context, c *Client, path string, body []byte, schema string, hdr map[string]string) (*T, error) {
 	if err := c.breaker.Allow(); err != nil {
-		return err
+		return nil, err
 	}
-	err := c.post(ctx, path, body, schema, out, hdr)
+	out, err := post[T](ctx, c, path, body, schema, hdr)
 	switch {
 	case err == nil:
 		c.breaker.Record(nil)
@@ -304,7 +280,7 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, schema s
 			c.breaker.Record(err)
 		}
 	}
-	return err
+	return out, err
 }
 
 // sleep waits d (or returns early with the context's error).
@@ -323,16 +299,16 @@ func sleep(ctx context.Context, d time.Duration) error {
 }
 
 // post performs one POST attempt.
-func (c *Client) post(ctx context.Context, path string, body []byte, schema string, out any, hdr map[string]string) error {
+func post[T any](ctx context.Context, c *Client, path string, body []byte, schema string, hdr map[string]string) (*T, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
-	return c.roundTrip(req, schema, out)
+	return roundTrip[T](c, req, schema)
 }
 
 // wireEnvelope is the client-side shape of the unified v1 envelope.
@@ -342,8 +318,11 @@ type wireEnvelope struct {
 	Error  *service.APIError `json:"error"`
 }
 
-// roundTrip executes one HTTP exchange and decodes the envelope.
-func (c *Client) roundTrip(req *http.Request, schema string, out any) error {
+// roundTrip executes one HTTP exchange and decodes the envelope. A 200
+// decodes in one pass, data straight into the result; only a reply that
+// pass cannot take (a non-200, a broken body, absent or null data) goes
+// on to the two-step envelope parse, which names the failure.
+func roundTrip[T any](c *Client, req *http.Request, schema string) (*T, error) {
 	if c.apiKey != "" {
 		req.Header.Set("X-API-Key", c.apiKey)
 	}
@@ -352,7 +331,7 @@ func (c *Client) roundTrip(req *http.Request, schema string, out any) error {
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	path, status := req.URL.Path, resp.StatusCode
@@ -361,15 +340,28 @@ func (c *Client) roundTrip(req *http.Request, schema string, out any) error {
 		// A body that dies mid-read (io.ErrUnexpectedEOF, a reset) is a wire
 		// failure, not an answer — classified transient so the retry loop
 		// and breaker both see it.
-		return &DecodeError{Path: path, Status: status, Reason: "reading body", Err: err}
+		return nil, &DecodeError{Path: path, Status: status, Reason: "reading body", Err: err}
 	}
 	if resp.ContentLength >= 0 && int64(len(raw)) != resp.ContentLength {
-		return &DecodeError{Path: path, Status: status,
+		return nil, &DecodeError{Path: path, Status: status,
 			Reason: fmt.Sprintf("truncated body: read %d of %d declared bytes", len(raw), resp.ContentLength)}
+	}
+	if status == http.StatusOK {
+		var ok struct {
+			Schema string            `json:"schema"`
+			Data   *T                `json:"data"`
+			Error  *service.APIError `json:"error"`
+		}
+		if json.Unmarshal(raw, &ok) == nil && ok.Data != nil {
+			if ok.Schema != schema {
+				return nil, schemaError(path, status, ok.Schema, schema)
+			}
+			return ok.Data, nil
+		}
 	}
 	var env wireEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		return &DecodeError{Path: path, Status: status, Reason: "non-envelope response", Err: err}
+		return nil, &DecodeError{Path: path, Status: status, Reason: "non-envelope response", Err: err}
 	}
 	if status != http.StatusOK {
 		ae := &APIError{Status: status}
@@ -380,16 +372,21 @@ func (c *Client) roundTrip(req *http.Request, schema string, out any) error {
 		} else {
 			ae.Message = strings.TrimSpace(string(raw))
 		}
-		return ae
+		return nil, ae
 	}
 	if env.Schema != schema {
-		return &DecodeError{Path: path, Status: status,
-			Reason: fmt.Sprintf("schema token %q, want %q", env.Schema, schema)}
+		return nil, schemaError(path, status, env.Schema, schema)
 	}
+	out := new(T)
 	if err := json.Unmarshal(env.Data, out); err != nil {
-		return &DecodeError{Path: path, Status: status, Reason: "undecodable data payload", Err: err}
+		return nil, &DecodeError{Path: path, Status: status, Reason: "undecodable data payload", Err: err}
 	}
-	return nil
+	return out, nil
+}
+
+// schemaError reports a 200 whose envelope names the wrong schema.
+func schemaError(path string, status int, got, want string) error {
+	return &DecodeError{Path: path, Status: status, Reason: fmt.Sprintf("schema token %q, want %q", got, want)}
 }
 
 // retryAfterHint resolves the server's retry hint, preferring the

@@ -404,3 +404,62 @@ func TestCorruptBodyRetriedAndBreakerCounted(t *testing.T) {
 		t.Fatalf("breaker did not open on corrupt bodies: %v", err)
 	}
 }
+
+// TestOnePassDecodeKeepsFailureContracts: a 200 decodes in one pass, and
+// every reply that pass cannot take falls back to the envelope parse,
+// which still names the same DecodeError reason or fills the same
+// APIError as a two-step decode would.
+func TestOnePassDecodeKeepsFailureContracts(t *testing.T) {
+	const data = `{"system":"dawn","kernel":"gemv","problem":"square","definition":"d","precision":"f64","key":"k","samples":3,"thresholds":{}}`
+	cases := []struct {
+		name       string
+		status     int
+		retryAfter string // Retry-After header; "" sends none
+		body       string
+		reason     string        // DecodeError reason prefix, when a DecodeError is wanted
+		code       string        // APIError code, when an APIError is wanted
+		hint       time.Duration // APIError retry hint
+	}{
+		{name: "non-object JSON", status: 200, body: `[1,2]`, reason: "non-envelope response"},
+		{name: "trailing garbage", status: 200, body: `{"schema":"blob.v1.threshold","data":` + data + `} x`, reason: "non-envelope response"},
+		{name: "malformed error field", status: 200, body: `{"schema":"blob.v1.threshold","data":` + data + `,"error":5}`, reason: "non-envelope response"},
+		{name: "undecodable data", status: 200, body: `{"schema":"blob.v1.threshold","data":{"samples":"many"}}`, reason: "undecodable data payload"},
+		{name: "absent data", status: 200, body: `{"schema":"blob.v1.threshold"}`, reason: "undecodable data payload"},
+		{name: "wrong schema, undecodable data", status: 200, body: `{"schema":"blob.v1.advise","data":{"samples":"many"}}`, reason: "schema token"},
+		{name: "wrong schema, decodable data", status: 200, body: `{"schema":"blob.v1.advise","data":` + data + `}`, reason: "schema token"},
+		{name: "non-envelope error reply", status: 502, body: `bad gateway`, reason: "non-envelope response"},
+		{name: "429 hint from the header", status: 429, retryAfter: "3", body: `{"schema":"blob.v1.error","error":{"code":"over_quota","message":"m"}}`, code: "over_quota", hint: 3 * time.Second},
+		{name: "429 hint from the body", status: 429, body: `{"schema":"blob.v1.error","error":{"code":"over_quota","message":"m","retry_after_s":4}}`, code: "over_quota", hint: 4 * time.Second},
+		{name: "429 header wins over the body", status: 429, retryAfter: "2", body: `{"schema":"blob.v1.error","error":{"code":"over_quota","message":"m","retry_after_s":9}}`, code: "over_quota", hint: 2 * time.Second},
+		{name: "null data", status: 200, body: `{"schema":"blob.v1.threshold","data":null}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.retryAfter != "" {
+					w.Header().Set("Retry-After", tc.retryAfter)
+				}
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(tc.status)
+				w.Write([]byte(tc.body))
+			}))
+			t.Cleanup(ts.Close)
+			c := New(Options{BaseURL: ts.URL})
+			resp, err := c.Threshold(context.Background(), service.ThresholdRequest{System: "dawn", Kernel: "gemv", Precision: "f64"})
+			var de *DecodeError
+			var ae *APIError
+			switch {
+			case tc.reason != "":
+				if !errors.As(err, &de) || !strings.HasPrefix(de.Reason, tc.reason) || de.Status != tc.status || !de.Transient() {
+					t.Fatalf("error = %v (%T), want a transient DecodeError %q with status %d", err, err, tc.reason, tc.status)
+				}
+			case tc.code != "":
+				if !errors.As(err, &ae) || ae.Status != tc.status || ae.Code != tc.code || ae.RetryAfter != tc.hint {
+					t.Fatalf("error = %#v, want APIError %d %s with hint %v", err, tc.status, tc.code, tc.hint)
+				}
+			case err != nil || resp == nil:
+				t.Fatalf("resp = %+v, err = %v, want a zero-valued success", resp, err)
+			}
+		})
+	}
+}

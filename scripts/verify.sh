@@ -47,8 +47,11 @@
 #                      config hash that keys the service cache, the
 #                      strict blob-vet baseline/report JSON parser, the
 #                      cluster membership wire messages + threshold
-#                      route key (DESIGN.md §16), and the netfault plan
-#                      JSON (DESIGN.md §17)
+#                      route key (DESIGN.md §16), the v1 request bodies
+#                      and headers of /v1/advise, /v1/threshold and
+#                      /v1/dispatch (each reply one compact envelope
+#                      line with a documented error code, never a 500),
+#                      and the netfault plan JSON (DESIGN.md §17)
 #   9. blob-bench    — smoke run of the standardized benchmark suite
 #                      (tiny sizes, one interleaved repetition): proves
 #                      every case still prepares, runs and serializes
@@ -145,6 +148,7 @@ go test -run='^$' -fuzz='^FuzzPlanJSON$' -fuzztime=10s ./internal/faultinject/
 go test -run='^$' -fuzz='^FuzzConfigHash$' -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz='^FuzzBaselineJSON$' -fuzztime=10s ./internal/analysis/blobvet/
 go test -run='^$' -fuzz='^FuzzClusterWire$' -fuzztime=10s ./internal/cluster/
+go test -run='^$' -fuzz='^FuzzV1Body$' -fuzztime=10s ./internal/service/
 go test -run='^$' -fuzz='^FuzzNetfaultPlan$' -fuzztime=10s ./internal/netfault/
 end
 
