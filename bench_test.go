@@ -110,12 +110,6 @@ func BenchmarkBatched(b *testing.B) { runExperiment(b, "batched", benchOpt()) }
 // BenchmarkPerfStat regenerates the §IV-B effective-CPUs evidence.
 func BenchmarkPerfStat(b *testing.B) { runExperiment(b, "perfstat", benchOpt()) }
 
-// BenchmarkHalf regenerates the half-precision HGEMM extension (§V).
-func BenchmarkHalf(b *testing.B) { runExperiment(b, "half", benchOpt()) }
-
-// BenchmarkSparse regenerates the sparse SpMV extension (§V).
-func BenchmarkSparse(b *testing.B) { runExperiment(b, "sparse", benchOpt()) }
-
 // BenchmarkStability regenerates the threshold-detector stability ablation.
 func BenchmarkStability(b *testing.B) { runExperiment(b, "stability", benchOpt()) }
 

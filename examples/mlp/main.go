@@ -4,10 +4,8 @@
 // {batch, width, width}, and inference re-issues the same weights for every
 // batch: exactly the Transfer-Once, high-reuse pattern of §III-B2.
 //
-// The example runs the same network in float32 and in FP16
-// storage/float32-accumulate (internal/half, the §V extension), compares
-// the outputs, times both on this host, and asks the offload models where
-// each paper system would run the layers.
+// The example runs the network in float32, times it on this host, and asks
+// the offload models where each paper system would run the layers.
 //
 //	go run ./examples/mlp [-batch 256] [-width 512] [-layers 4]
 package main
@@ -22,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/blas"
-	"repro/internal/half"
 	"repro/internal/matrix"
 	"repro/internal/sim/systems"
 	"repro/internal/sim/xfer"
@@ -54,8 +51,8 @@ func main() {
 		input[i] = rng.Float32()*2 - 1
 	}
 
-	// Float32 forward pass: X_{l+1} = relu(X_l * W_l).
-	forward32 := func() []float32 {
+	// Forward pass: X_{l+1} = relu(X_l * W_l).
+	forward := func() {
 		x := append([]float32(nil), input...)
 		y := make([]float32, b*w)
 		for l := 0; l < nl; l++ {
@@ -67,94 +64,32 @@ func main() {
 			}
 			x, y = y, x
 		}
-		return x
-	}
-
-	// FP16 forward pass: weights and activations stored as Float16,
-	// accumulated in float32 (the matrix-engine contract).
-	weights16 := make([][]half.Float16, nl)
-	for l := range weights {
-		weights16[l] = half.FromFloat32s(nil, weights[l])
-	}
-	forward16 := func() []half.Float16 {
-		x := half.FromFloat32s(nil, input)
-		y := make([]half.Float16, b*w)
-		zero16 := half.FromFloat32(0)
-		for l := 0; l < nl; l++ {
-			half.Hgemm(blas.NoTrans, blas.NoTrans, b, w, w, 1, x, b, weights16[l], w, 0, y, b)
-			for i := range y {
-				if y[i].Float32() < 0 {
-					y[i] = zero16
-				}
-			}
-			x, y = y, x
-		}
-		return x
 	}
 
 	start := time.Now()
-	var out32 []float32
 	for i := 0; i < *batches; i++ {
-		out32 = forward32()
+		forward()
 	}
 	t32 := time.Since(start)
-	start = time.Now()
-	var out16 []half.Float16
-	for i := 0; i < *batches; i++ {
-		out16 = forward16()
-	}
-	t16 := time.Since(start)
 
-	// Output agreement between precisions. Relative error is only
-	// meaningful away from zero (fp16 quantisation can flip the sign of a
-	// near-zero pre-ReLU value), so it is measured against outputs above a
-	// twentieth of the RMS magnitude.
-	var rms float64
-	for _, v := range out32 {
-		rms += float64(v) * float64(v)
-	}
-	rms = math.Sqrt(rms / float64(len(out32)))
-	var maxRel, meanAbs float64
-	var nonZero int
-	for i := range out32 {
-		f32 := float64(out32[i])
-		f16 := float64(out16[i].Float32())
-		meanAbs += math.Abs(f32 - f16)
-		if math.Abs(f32) > rms/20 {
-			nonZero++
-			if rel := math.Abs(f32-f16) / math.Abs(f32); rel > maxRel {
-				maxRel = rel
-			}
-		}
-	}
-	meanAbs /= float64(len(out32))
 	flopsPerPass := 2 * float64(nl) * float64(b) * float64(w) * float64(w)
 	fmt.Printf("network: %d layers of %d, batch %d  (%.1f MFLOPs per forward pass)\n",
 		nl, w, b, flopsPerPass/1e6)
-	fmt.Printf("float32 pass: %8.2f ms/batch on this host\n", t32.Seconds()/float64(*batches)*1e3)
-	fmt.Printf("fp16 pass:    %8.2f ms/batch (storage-only fp16; conversions cost on a CPU)\n",
-		t16.Seconds()/float64(*batches)*1e3)
-	fmt.Printf("agreement: mean |Δ| %.2e, max relative error %.3f%% over %d significant outputs\n\n",
-		meanAbs, maxRel*100, nonZero)
+	fmt.Printf("float32 pass: %8.2f ms/batch on this host\n\n", t32.Seconds()/float64(*batches)*1e3)
 
 	// Where would the paper's systems run one layer's GEMM?
 	fmt.Printf("offload advice per layer GEMM {%d, %d, %d}, %d consecutive batches (Transfer-Once):\n",
 		b, w, w, *batches)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "System\tCPU f32\tGPU f32\tGPU f16\tVerdict\n")
+	fmt.Fprintf(tw, "System\tCPU f32\tGPU f32\tVerdict\n")
 	for _, sys := range systems.All() {
 		cpu := sys.CPU.GemmSeconds(4, b, w, w, true, *batches)
-		gpu32 := sys.GPU.GemmSeconds(xfer.TransferOnce, 4, b, w, w, true, *batches)
-		gpu16 := sys.GPU.GemmSeconds(xfer.TransferOnce, 2, b, w, w, true, *batches)
+		gpu := sys.GPU.GemmSeconds(xfer.TransferOnce, 4, b, w, w, true, *batches)
 		verdict := "CPU"
-		if gpu32 < cpu || gpu16 < cpu {
+		if gpu < cpu {
 			verdict = "GPU"
-			if gpu16 < gpu32 {
-				verdict = "GPU (fp16)"
-			}
 		}
-		fmt.Fprintf(tw, "%s\t%.2f ms\t%.2f ms\t%.2f ms\t%s\n",
-			sys.Name, cpu*1e3, gpu32*1e3, gpu16*1e3, verdict)
+		fmt.Fprintf(tw, "%s\t%.2f ms\t%.2f ms\t%s\n", sys.Name, cpu*1e3, gpu*1e3, verdict)
 	}
 	tw.Flush()
 }

@@ -67,8 +67,6 @@ var Registry = []Experiment{
 	{ID: "flops-model", Title: "Ablation: exact vs approximated FLOP counts (§III-A)", Run: FlopsModel},
 	{ID: "xnack", Title: "Ablation: LUMI USM with and without HSA_XNACK (§IV)", Run: Xnack},
 	{ID: "batched", Title: "Extension: batched GEMM offload threshold (§V)", Run: Batched},
-	{ID: "half", Title: "Extension: half-precision (HGEMM) offload threshold (§V)", Run: HalfPrecision},
-	{ID: "sparse", Title: "Extension: sparse SpMV offload threshold (§V)", Run: Sparse},
 	{ID: "stability", Title: "Ablation: threshold-detector stability under stride and noise (§III-D)", Run: Stability},
 	{ID: "quirks", Title: "Ablation: offload thresholds with all library quirks removed", Run: QuirkAblation},
 	{ID: "perfstat", Title: "§IV-B evidence: effective CPUs used by AOCL GEMV vs GEMM", Run: PerfStat},

@@ -20,7 +20,7 @@ func TestRegistryCoversPaperElements(t *testing.T) {
 	want := []string{
 		"table1", "table3", "table4", "table5", "table6",
 		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"flops-model", "xnack", "batched", "half", "sparse",
+		"flops-model", "xnack", "batched",
 		"stability", "quirks", "perfstat",
 	}
 	for _, id := range want {
@@ -277,46 +277,5 @@ func TestOptionsNormalize(t *testing.T) {
 	o := Options{}.Normalize()
 	if o.Step != 1 || o.MaxDim != 4096 {
 		t.Fatalf("defaults: %+v", o)
-	}
-}
-
-func TestHalfPrecisionExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := HalfPrecision(context.Background(), &buf, Options{Step: 4, MaxDim: 2048}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "HGEMM") || !strings.Contains(out, "x") {
-		t.Fatalf("half experiment output:\n%s", out)
-	}
-	// GPUs must be faster in half precision at 2048 on every system.
-	re := regexp.MustCompile(`(\d+)\.\d+x`)
-	for _, m := range re.FindAllStringSubmatch(out, -1) {
-		if m[1] == "0" {
-			t.Fatalf("HGEMM slower than SGEMM:\n%s", out)
-		}
-	}
-}
-
-func TestSparseExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Sparse(context.Background(), &buf, Options{Step: 8}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "banded") || !strings.Contains(out, "uniform random") {
-		t.Fatalf("sparse experiment output:\n%s", out)
-	}
-	// DAWN must never offload SpMV in either family.
-	for _, ln := range strings.Split(out, "\n") {
-		if strings.HasPrefix(ln, "DAWN") {
-			fields := strings.Fields(ln)
-			if fields[len(fields)-1] != "—" || fields[len(fields)-2] != "—" {
-				t.Fatalf("DAWN should never offload SpMV: %q", ln)
-			}
-		}
-	}
-	if !strings.Contains(out, "kernel sanity") {
-		t.Fatal("sparse kernels not exercised")
 	}
 }

@@ -1,11 +1,11 @@
 // Package parallel provides the shared-memory parallel building blocks used
-// by the optimized BLAS kernels: static and guided range partitioning and a
-// reusable worker pool.
+// by the optimized BLAS kernels: static range partitioning and a reusable
+// worker pool.
 //
 // The abstractions deliberately mirror the OpenMP knobs the paper's artifact
 // is driven by (OMP_NUM_THREADS, BLIS_NUM_THREADS): a Pool has a fixed
-// thread count, and For/For2D split iteration spaces statically by default,
-// like OMP's schedule(static).
+// thread count, and For splits an iteration space statically, like OMP's
+// schedule(static).
 package parallel
 
 import (
@@ -13,7 +13,7 @@ import (
 	"sync"
 )
 
-//blobvet:file-allow locksafety: p.mu serializes whole For/For2D invocations (the OpenMP parallel-region model); the body calls and wg.Wait under it ARE the critical section, and the bodies are compute kernels that never re-enter the pool
+//blobvet:file-allow locksafety: p.mu serializes whole For invocations (the OpenMP parallel-region model); the body calls and wg.Wait under it ARE the critical section, and the bodies are compute kernels that never re-enter the pool
 
 // Range is a half-open interval [Lo, Hi) of loop iterations.
 type Range struct {
@@ -45,26 +45,6 @@ func Split(n, parts int) []Range {
 		}
 		out = append(out, Range{lo, lo + sz})
 		lo += sz
-	}
-	return out
-}
-
-// SplitChunks partitions [0, n) into contiguous ranges of exactly chunk
-// iterations (the final range may be shorter).
-func SplitChunks(n, chunk int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	out := make([]Range, 0, (n+chunk-1)/chunk)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, Range{lo, hi})
 	}
 	return out
 }
@@ -111,135 +91,5 @@ func (p *Pool) For(n int, body func(worker int, r Range)) {
 		}(w)
 	}
 	body(0, ranges[0])
-	wg.Wait()
-}
-
-// ForChunked executes body over [0, n) in chunks of the given size, with the
-// pool's workers pulling chunks from a shared queue (guided scheduling).
-// Useful when per-iteration cost is irregular.
-func (p *Pool) ForChunked(n, chunk int, body func(worker int, r Range)) {
-	if n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	chunks := SplitChunks(n, chunk)
-	if len(chunks) == 1 {
-		body(0, chunks[0])
-		return
-	}
-	workers := p.workers
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	next := 0
-	var mu sync.Mutex
-	take := func() (Range, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(chunks) {
-			return Range{}, false
-		}
-		r := chunks[next]
-		next++
-		return r, true
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	run := func(w int) {
-		for {
-			r, ok := take()
-			if !ok {
-				return
-			}
-			body(w, r)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			run(w)
-		}(w)
-	}
-	run(0)
-	wg.Wait()
-}
-
-// Tile is a rectangular block of a 2D iteration space.
-type Tile struct {
-	Row, Col Range
-}
-
-// Tiles partitions the m x n iteration space into tiles of at most tr x tc.
-func Tiles(m, n, tr, tc int) []Tile {
-	if m <= 0 || n <= 0 {
-		return nil
-	}
-	if tr < 1 {
-		tr = 1
-	}
-	if tc < 1 {
-		tc = 1
-	}
-	rows := SplitChunks(m, tr)
-	cols := SplitChunks(n, tc)
-	out := make([]Tile, 0, len(rows)*len(cols))
-	for _, c := range cols {
-		for _, r := range rows {
-			out = append(out, Tile{Row: r, Col: c})
-		}
-	}
-	return out
-}
-
-// For2D executes body over the m x n space tiled into tr x tc blocks, with
-// tiles distributed across the pool's workers by a shared queue. Tiles are
-// column-major ordered so writes to a column-major output matrix stay as
-// local as possible per worker.
-func (p *Pool) For2D(m, n, tr, tc int, body func(worker int, t Tile)) {
-	tiles := Tiles(m, n, tr, tc)
-	if len(tiles) == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(tiles) == 1 {
-		body(0, tiles[0])
-		return
-	}
-	workers := p.workers
-	if workers > len(tiles) {
-		workers = len(tiles)
-	}
-	var mu sync.Mutex
-	next := 0
-	take := func() (Tile, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(tiles) {
-			return Tile{}, false
-		}
-		t := tiles[next]
-		next++
-		return t, true
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	run := func(w int) {
-		for {
-			t, ok := take()
-			if !ok {
-				return
-			}
-			body(w, t)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			run(w)
-		}(w)
-	}
-	run(0)
 	wg.Wait()
 }

@@ -52,19 +52,35 @@ func TestSplitDegenerate(t *testing.T) {
 	}
 }
 
-func TestSplitChunks(t *testing.T) {
-	rs := SplitChunks(10, 4)
-	want := []Range{{0, 4}, {4, 8}, {8, 10}}
-	if len(rs) != len(want) {
-		t.Fatalf("chunks: %v", rs)
+func TestSplitNegativeN(t *testing.T) {
+	if Split(-1, 4) != nil {
+		t.Fatal("negative n must return nil")
 	}
-	for i := range want {
-		if rs[i] != want[i] {
-			t.Fatalf("chunk %d: %v != %v", i, rs[i], want[i])
+}
+
+// rangesTileExactly reports whether rs is an in-order, gap-free,
+// overlap-free tiling of [0, n) with no empty ranges.
+func rangesTileExactly(rs []Range, n int) bool {
+	next := 0
+	for _, r := range rs {
+		if r.Lo != next || r.Hi <= r.Lo {
+			return false
 		}
+		next = r.Hi
 	}
-	if SplitChunks(0, 4) != nil {
-		t.Fatal("n=0 chunks")
+	return next == n
+}
+
+func TestSplitTilesExactly(t *testing.T) {
+	f := func(n uint8, parts int8) bool {
+		rs := Split(int(n), int(parts))
+		if n == 0 {
+			return rs == nil
+		}
+		return rangesTileExactly(rs, int(n))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -155,65 +171,6 @@ func TestPoolConcurrentForCalls(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestForChunkedCoversAll(t *testing.T) {
-	p := NewPool(4)
-	const n = 137
-	hit := make([]int32, n)
-	p.ForChunked(n, 10, func(_ int, r Range) {
-		for i := r.Lo; i < r.Hi; i++ {
-			atomic.AddInt32(&hit[i], 1)
-		}
-	})
-	for i, h := range hit {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-}
-
-func TestTilesCoverSpace(t *testing.T) {
-	tiles := Tiles(10, 7, 4, 3)
-	covered := make([][]bool, 10)
-	for i := range covered {
-		covered[i] = make([]bool, 7)
-	}
-	for _, tl := range tiles {
-		for i := tl.Row.Lo; i < tl.Row.Hi; i++ {
-			for j := tl.Col.Lo; j < tl.Col.Hi; j++ {
-				if covered[i][j] {
-					t.Fatalf("cell (%d,%d) covered twice", i, j)
-				}
-				covered[i][j] = true
-			}
-		}
-	}
-	for i := range covered {
-		for j := range covered[i] {
-			if !covered[i][j] {
-				t.Fatalf("cell (%d,%d) uncovered", i, j)
-			}
-		}
-	}
-}
-
-func TestFor2DCoversSpace(t *testing.T) {
-	p := NewPool(4)
-	m, n := 33, 29
-	hit := make([]int32, m*n)
-	p.For2D(m, n, 8, 8, func(_ int, tl Tile) {
-		for j := tl.Col.Lo; j < tl.Col.Hi; j++ {
-			for i := tl.Row.Lo; i < tl.Row.Hi; i++ {
-				atomic.AddInt32(&hit[i+j*m], 1)
-			}
-		}
-	})
-	for idx, h := range hit {
-		if h != 1 {
-			t.Fatalf("cell %d visited %d times", idx, h)
-		}
-	}
 }
 
 func TestNewPoolDefaults(t *testing.T) {

@@ -20,10 +20,6 @@ type CPUSpec struct {
 	// FP64PerCycle is the socket-wide FP64 FLOPs/cycle the paper quotes.
 	// FP32 peak is taken as twice the FP64 peak.
 	FP64PerCycle int
-	// FP16Factor is the FP16 throughput relative to FP32: 2.0 where native
-	// half-precision FMAs exist (AVX512-FP16, NEON FP16), 1.0 where FP16 is
-	// converted and computed in FP32.
-	FP16Factor float64
 	// MemBWGBs is the socket's DRAM bandwidth in GB/s.
 	MemBWGBs float64
 	// PerCoreMemBWGBs caps how much DRAM bandwidth a single core can pull;
@@ -41,15 +37,8 @@ type CPUSpec struct {
 // PeakGFLOPS returns the socket peak in GFLOP/s for 8- or 4-byte elements.
 func (c CPUSpec) PeakGFLOPS(elemSize int) float64 {
 	peak := c.FreqGHz * float64(c.FP64PerCycle)
-	switch elemSize {
-	case 4:
+	if elemSize == 4 {
 		peak *= 2
-	case 2:
-		f := c.FP16Factor
-		if f <= 0 {
-			f = 1
-		}
-		peak *= 2 * f
 	}
 	return peak
 }
@@ -59,12 +48,9 @@ func (c CPUSpec) PeakGFLOPS(elemSize int) float64 {
 type GPUSpec struct {
 	Name string
 	// FP64GFLOPS and FP32GFLOPS are vector-unit peaks (no matrix engines:
-	// the paper's kernels run the classic BLAS paths). FP16GFLOPS is the
-	// dense matrix-engine half-precision peak (Tensor Cores / Matrix Cores
-	// / XMX), used only by the half-precision extension experiment.
+	// the paper's kernels run the classic BLAS paths).
 	FP64GFLOPS float64
 	FP32GFLOPS float64
-	FP16GFLOPS float64
 	// HBMGBs is device memory bandwidth in GB/s.
 	HBMGBs float64
 	// LaunchLatencyUS is the per-kernel launch cost in microseconds.
@@ -80,17 +66,10 @@ type GPUSpec struct {
 
 // Peak returns the device peak GFLOP/s for the element size.
 func (g GPUSpec) Peak(elemSize int) float64 {
-	switch elemSize {
-	case 4:
+	if elemSize == 4 {
 		return g.FP32GFLOPS
-	case 2:
-		if g.FP16GFLOPS > 0 {
-			return g.FP16GFLOPS
-		}
-		return 2 * g.FP32GFLOPS
-	default:
-		return g.FP64GFLOPS
 	}
+	return g.FP64GFLOPS
 }
 
 // LinkSpec describes the host-device interconnect.
@@ -120,7 +99,6 @@ var XeonPlatinum8468 = CPUSpec{
 	Cores:             48,
 	FreqGHz:           2.1,
 	FP64PerCycle:      1536,
-	FP16Factor:        2, // AVX512-FP16 (Sapphire Rapids)
 	MemBWGBs:          307,
 	PerCoreMemBWGBs:   30,
 	CacheMB:           105,
@@ -135,7 +113,6 @@ var EpycTrento7A53 = CPUSpec{
 	Cores:             56,
 	FreqGHz:           2.0,
 	FP64PerCycle:      896,
-	FP16Factor:        1, // no native FP16 FMA on Zen 3: convert + FP32
 	MemBWGBs:          204,
 	PerCoreMemBWGBs:   42,
 	CacheMB:           256,
@@ -150,7 +127,6 @@ var GraceCPU = CPUSpec{
 	Cores:             72,
 	FreqGHz:           3.4,
 	FP64PerCycle:      1152,
-	FP16Factor:        2, // Neoverse V2 NEON/SVE2 FP16
 	MemBWGBs:          500,
 	PerCoreMemBWGBs:   40,
 	CacheMB:           114,
@@ -164,7 +140,6 @@ var Epyc7543P = CPUSpec{
 	Cores:             32,
 	FreqGHz:           2.8,
 	FP64PerCycle:      512,
-	FP16Factor:        1,
 	MemBWGBs:          204,
 	PerCoreMemBWGBs:   40,
 	CacheMB:           256,
@@ -180,7 +155,6 @@ var IntelMax1550Tile = GPUSpec{
 	Name:               "Intel Data Center GPU Max 1550 (1 tile)",
 	FP64GFLOPS:         26000,
 	FP32GFLOPS:         40000,
-	FP16GFLOPS:         209000, // XMX
 	HBMGBs:             1640,
 	LaunchLatencyUS:    8,
 	OccupancyRampElems: 3.0e5,
@@ -192,7 +166,6 @@ var MI250XGCD = GPUSpec{
 	Name:               "AMD MI250X (1 GCD)",
 	FP64GFLOPS:         23950,
 	FP32GFLOPS:         23950,
-	FP16GFLOPS:         191500, // Matrix Cores
 	HBMGBs:             1600,
 	LaunchLatencyUS:    6,
 	OccupancyRampElems: 1.5e5,
@@ -204,7 +177,6 @@ var GH200H100 = GPUSpec{
 	Name:               "NVIDIA GH200 (H100)",
 	FP64GFLOPS:         34000,
 	FP32GFLOPS:         67000,
-	FP16GFLOPS:         495000, // Tensor Cores (dense)
 	HBMGBs:             4000,
 	LaunchLatencyUS:    3.5,
 	OccupancyRampElems: 1.5e5,
@@ -216,7 +188,6 @@ var A100SXM40 = GPUSpec{
 	Name:               "NVIDIA A100 40GB SXM",
 	FP64GFLOPS:         9700,
 	FP32GFLOPS:         19500,
-	FP16GFLOPS:         312000, // Tensor Cores (dense)
 	HBMGBs:             1555,
 	LaunchLatencyUS:    5,
 	OccupancyRampElems: 5.0e5,
