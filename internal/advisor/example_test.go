@@ -15,8 +15,8 @@ import (
 // over CSV via cmd/blob-advise and over HTTP via blob-served.
 func ExampleAdvise() {
 	v, err := advisor.Advise(systems.IsambardAI(), advisor.Call{
-		Kernel:    core.GEMM,
-		M:         2048, N: 2048, K: 2048,
+		Kernel: core.GEMM,
+		M:      2048, N: 2048, K: 2048,
 		Precision: core.F32,
 		Count:     32,
 		Strategy:  xfer.TransferOnce,

@@ -1,8 +1,8 @@
 package csvio
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"

@@ -12,9 +12,9 @@ func newFakeClock() *fakeClock {
 	return &fakeClock{now: time.Unix(1_700_000_000, 0)}
 }
 
-func (c *fakeClock) Now() time.Time            { return c.now }
-func (c *fakeClock) Advance(d time.Duration)   { c.now = c.now.Add(d) }
-func (c *fakeClock) Clock() func() time.Time   { return func() time.Time { return c.now } }
+func (c *fakeClock) Now() time.Time          { return c.now }
+func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
+func (c *fakeClock) Clock() func() time.Time { return func() time.Time { return c.now } }
 
 func TestLimiterFixedWithoutTarget(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Min: 1, Max: 3})

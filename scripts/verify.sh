@@ -8,20 +8,22 @@
 # attributable without scrolling).
 #
 #   1. go build      — everything compiles
-#   2. go vet        — stock Go static analysis (its asmdecl check covers
+#   2. gofmt         — every Go file in the tree is gofmt-clean; any file
+#                      gofmt -l lists fails the gate
+#   3. go vet        — stock Go static analysis (its asmdecl check covers
 #                      the amd64 assembly in internal/blas)
-#   3. arm64 build   — cross-build everything and vet internal/blas for
+#   4. arm64 build   — cross-build everything and vet internal/blas for
 #                      linux/arm64, so the portable BLAS fallback that
 #                      non-amd64 builds get (kernel_other.go) cannot rot
 #                      on an amd64 host; runs offline
-#   4. blob-vet      — this repo's own analyzers (see internal/analysis):
+#   5. blob-vet      — this repo's own analyzers (see internal/analysis):
 #                      kernelargcheck, floatcompare, goroutinehygiene,
 #                      determinism, pkgdoc, ctxflow, locksafety,
 #                      hotalloc, errcontract. Error findings and
 #                      unbaselined warns fail the gate; the run also
 #                      writes blobvet.sarif (SARIF 2.1.0) as a CI
 #                      artifact for code-scanning renderers
-#   5. go test       — full test suite, shuffled (-shuffle=on with a
+#   6. go test       — full test suite, shuffled (-shuffle=on with a
 #                      fixed seed, so inter-test ordering dependencies
 #                      surface deterministically; includes the blob-vet
 #                      self-check in internal/analysis/suite_test.go and
@@ -29,11 +31,11 @@
 #                      docs/ go fences must parse, docs/ pages must
 #                      match the wire contract, benchmark index must
 #                      match the registry)
-#   6. perfbench     — vet and test the benchmark driver (perfbench/),
+#   7. perfbench     — vet and test the benchmark driver (perfbench/),
 #                      a separate module outside the root go test ./...,
 #                      so an API change it depends on fails here rather
 #                      than only when the benchmark runs
-#   7. fidelity      — the model-fidelity gate (DESIGN.md §15): purely
+#   8. fidelity      — the model-fidelity gate (DESIGN.md §15): purely
 #                      deterministic checks over the committed
 #                      bench_data/ efficiency tables — leave-one-out
 #                      interpolation for the measured CPU table, a
@@ -42,7 +44,7 @@
 #                      FIDELITY.md report, a pure function of the
 #                      committed tables and bands, and inside a git work
 #                      tree fails if it differs from the committed file
-#   8. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
+#   9. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
 #                      the advisor trace CSV, the fault-plan JSON, the
 #                      config hash that keys the service cache, the
 #                      strict blob-vet baseline/report JSON parser, the
@@ -52,11 +54,11 @@
 #                      /v1/dispatch (each reply one compact envelope
 #                      line with a documented error code, never a 500),
 #                      and the netfault plan JSON (DESIGN.md §17)
-#   9. blob-bench    — smoke run of the standardized benchmark suite
+#  10. blob-bench    — smoke run of the standardized benchmark suite
 #                      (tiny sizes, one interleaved repetition): proves
 #                      every case still prepares, runs and serializes
 #                      to a valid BENCH_*.json
-#  10. blob-soak     — short overload soak of the admission-control
+#  11. blob-soak     — short overload soak of the admission-control
 #                      layer (DESIGN.md §12): sustained 4x-capacity load
 #                      plus the chaos profile, asserting the shed SLOs,
 #                      goroutine hygiene after drain, and that verdicts
@@ -74,7 +76,7 @@
 #                      peer and corrupted bodies, asserting byte-identical
 #                      verdict digests vs an unfaulted replay, at least
 #                      one hedge win, and no hung requests (DESIGN.md §17)
-#  11. go test -race — concurrency-sensitive packages under the race
+#  12. go test -race — concurrency-sensitive packages under the race
 #                      detector: the worker pool, the harness, the
 #                      multi-threaded BLAS kernels, the advisor
 #                      service (cache / singleflight / worker pool),
@@ -85,7 +87,7 @@
 #                      internal/blas is the longest package, ~110 s on a
 #                      2-CPU host, most of it the block-edge and fused-beta
 #                      tests over the AVX-512, AVX2 and portable descriptors
-#  12. chaos         — the seeded fault-injection gate: the chaos tests
+#  13. chaos         — the seeded fault-injection gate: the chaos tests
 #                      re-run under the race detector with a fixed seed,
 #                      proving a sweep under a 30%-transient fault plan
 #                      still converges to fault-free verdicts and that
@@ -112,6 +114,15 @@ end() {
 
 begin "go build"
 go build ./...
+end
+
+begin "gofmt"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need gofmt -w:" >&2
+	echo "$unformatted" >&2
+	false
+fi
 end
 
 begin "go vet"
