@@ -1,9 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim/systems"
+	"repro/internal/sim/xfer"
 )
 
 func dims(n int) Dims { return Dims{M: n, N: n, K: n} }
@@ -235,4 +241,60 @@ func TestThresholdString(t *testing.T) {
 	if got := th.String(); got != "{7, 7, 7}" {
 		t.Fatalf("present threshold: %q", got)
 	}
+}
+
+// Property (Tables III–VI): Transfer-Always moves at least the bytes of
+// Transfer-Once at every size, so its offload threshold can never come
+// earlier in the sweep: threshold(Always) ≥ threshold(Once) in sweep
+// order, or Always finds none. At one iteration both strategies move the
+// same bytes and the thresholds are equal. Checked for every problem type
+// and precision over seeded random perturbations of the paper's systems,
+// in both timing-model modes.
+func TestStrategyThresholdRelation(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	scale := func(v *float64) { *v *= math.Exp((2*r.Float64() - 1) * math.Log(4)) }
+	problems := append(append([]ProblemType(nil), GemmProblems...), GemvProblems...)
+	for round := 0; round < 4; round++ {
+		for _, sys := range systems.All() {
+			if round > 0 {
+				for _, v := range []*float64{
+					&sys.CPU.CPU.FreqGHz, &sys.CPU.CPU.MemBWGBs, &sys.CPU.CPU.CacheBWGBs,
+					&sys.GPU.GPU.FP32GFLOPS, &sys.GPU.GPU.FP64GFLOPS, &sys.GPU.GPU.HBMGBs,
+					&sys.GPU.GPU.LaunchLatencyUS, &sys.GPU.Link.BWGBs, &sys.GPU.Link.LatencyUS,
+				} {
+					scale(v)
+				}
+			}
+			cfg := Config{MaxDim: 2048, Step: 4, Model: ModelKind(round % 2)}
+			for _, pt := range problems {
+				for _, prec := range []Precision{F32, F64} {
+					for _, iters := range []int{1, 8, 32, 128} {
+						cfg.Iterations = iters
+						ser, err := RunProblem(context.Background(), sys, pt, prec, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						once, always := ser.Thresholds[xfer.TransferOnce], ser.Thresholds[xfer.TransferAlways]
+						where := fmt.Sprintf("round %d %s %s %s i=%d", round, sys.Name, pt.Name, ser.KernelName(), iters)
+						if iters == 1 && once != always {
+							t.Fatalf("%s: Once %v != Always %v at one iteration", where, once, always)
+						}
+						if always.Found && (!once.Found || sweepIndex(ser, always.Dims) < sweepIndex(ser, once.Dims)) {
+							t.Fatalf("%s: Always threshold %v comes before Once threshold %v", where, always, once)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sweepIndex is the position of d among the series' samples.
+func sweepIndex(ser *Series, d Dims) int {
+	for i, s := range ser.Samples {
+		if s.Dims == d {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("threshold %v is not a sampled size", d))
 }

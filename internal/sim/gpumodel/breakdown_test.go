@@ -35,7 +35,7 @@ func TestBreakdownProperties(t *testing.T) {
 		}
 		return 1 + int(math.Exp(rng.Float64()*math.Log(8192)))
 	}
-	elemSizes := []int{2, 4, 8}
+	elemSizes := []int{4, 8}
 	for i := range models {
 		g := &models[i]
 		for trial := 0; trial < 2000; trial++ {
