@@ -17,6 +17,10 @@ package main
 //     computed, never what it says);
 //   - bounded degradation: no request hangs past the deadline budget,
 //     even while the ring is reconverging around a dead replica.
+//
+// The fixture, schedule, tally and scorer below are shared with the
+// partition profile (partition.go), which runs the same cluster and
+// schedule over faulted wires instead of a clean kill.
 
 import (
 	"context"
@@ -24,11 +28,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/netfault"
 	"repro/internal/resilience"
 	"repro/internal/service"
 	"repro/pkg/blobclient"
@@ -47,14 +51,25 @@ const (
 	clusterLatencyBudget = 5 * time.Second
 )
 
+var clusterWording = clusterWords{
+	diverged:    "dim %d served two different verdicts across the chaos run",
+	noReference: "single-node reference completed no requests",
+	missing:     "dim %d missing from the single-node reference",
+	differs:     "dim %d: cluster verdict differs from single-node reference",
+}
+
+// soakBreaker is every fixture pool's per-peer breaker: one failure in
+// two opens it, and it half-opens again after OpenTimeout.
+var soakBreaker = resilience.BreakerConfig{
+	MinRequests: 1, FailureRatio: 0.5, OpenTimeout: 300 * time.Millisecond,
+}
+
 // soakNode is one in-process replica with a severable network edge: kill
 // makes its HTTP surface abort every connection (the crash a gateway
 // sees) while the service underneath keeps running, so a revive models a
 // rejoin with a warm cache.
 type soakNode struct {
 	name   string
-	svc    *service.Server
-	pool   *cluster.Pool
 	node   *cluster.Node
 	ts     *httptest.Server
 	killed atomic.Bool
@@ -63,41 +78,37 @@ type soakNode struct {
 func (n *soakNode) kill()   { n.killed.Store(true) }
 func (n *soakNode) revive() { n.killed.Store(false) }
 
-// runClusterProfile drives the chaos scenario and scores it.
-func runClusterProfile(seed int64, short bool) ProfileResult {
-	res := ProfileResult{
-		Name:     "cluster",
-		PeakLoad: clusterNodes,
-		Sheds:    map[string]int{},
-		Statuses: map[string]int{},
-		Pass:     true,
-	}
-	res.GoroutineBaseline = runtime.NumGoroutine()
+// soakCluster is the in-process cluster both cluster profiles run:
+// clusterNodes replicas behind one blob-gateway.
+type soakCluster struct {
+	nodes  []*soakNode
+	gwPool *cluster.Pool
+	gwTS   *httptest.Server
+	peerc  *http.Client
+	edges  []*http.Transport
+}
 
-	// The working set is 4x one replica's cache, so a single node
-	// thrashes (~25% hits) while each ring owner's arc (~1/3 of the set)
-	// nearly fits (~75% hits) — the gap the scaling floor measures.
-	cacheSize, dims, passes := 36, 144, 9
-	if short {
-		cacheSize, dims, passes = 24, 96, 5
+// edge returns a client over a pooled transport of its own, which finish
+// closes. A non-nil inj faults its exchanges, naming replicas by peerOf.
+func (c *soakCluster) edge(inj *netfault.Injector) *http.Client {
+	t := &http.Transport{MaxIdleConnsPerHost: 64}
+	c.edges = append(c.edges, t)
+	return &http.Client{
+		Transport: &netfault.Transport{Inner: t, Injector: inj, Peer: c.peerOf},
+		Timeout:   10 * time.Second,
 	}
-	killPass, revivePass := 2, passes-2
-	workingSet := make([]int, dims)
-	for i := range workingSet {
-		workingSet[i] = 24 + 2*i
-	}
+}
 
-	breaker := resilience.BreakerConfig{
-		MinRequests: 1, FailureRatio: 0.5, OpenTimeout: 300 * time.Millisecond,
-	}
-	transport := &http.Transport{MaxIdleConnsPerHost: 64}
-	httpc := &http.Client{Transport: transport, Timeout: 10 * time.Second}
-
+// start brings the cluster up: the replicas fill from each other over
+// peerc, the gateway reaches them over gwc. A client built before start
+// may already take c.peerOf. On error the caller still owes a close.
+func (c *soakCluster) start(cacheSize int, peerc, gwc *http.Client, gwOpts cluster.GatewayOptions) (err error) {
+	c.peerc = peerc
 	// Replica HTTP servers come up first (their URLs seed the roster),
 	// with handlers swapped in once the pools exist.
-	nodes := make([]*soakNode, clusterNodes)
 	handlers := make([]atomic.Value, clusterNodes)
-	for i := range nodes {
+	members := make([]cluster.Member, clusterNodes)
+	for i := range handlers {
 		n := &soakNode{name: fmt.Sprintf("rep-%d", i)}
 		slot := &handlers[i]
 		n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -106,207 +117,211 @@ func runClusterProfile(seed int64, short bool) ProfileResult {
 			}
 			slot.Load().(http.Handler).ServeHTTP(w, r)
 		}))
-		nodes[i] = n
-	}
-	members := make([]cluster.Member, clusterNodes)
-	for i, n := range nodes {
+		c.nodes = append(c.nodes, n)
 		members[i] = cluster.Member{Name: n.name, URL: n.ts.URL}
 	}
-	for i, n := range nodes {
+	for i, n := range c.nodes {
 		pool, err := cluster.NewPool(cluster.Options{
 			Self:         n.name,
 			Members:      members,
 			DownAfter:    2,
 			ProbeTimeout: 2 * time.Second,
 			FillTimeout:  5 * time.Second,
-			HTTPClient:   httpc,
-			Breaker:      breaker,
+			HTTPClient:   peerc,
+			Breaker:      soakBreaker,
 		})
 		if err != nil {
-			res.fail("cluster setup: " + err.Error())
-			return res
+			return fmt.Errorf("cluster setup: %w", err)
 		}
-		n.pool = pool
-		n.svc = service.New(service.Options{
+		n.node = cluster.NewNode(pool, service.New(service.Options{
 			Workers:        2,
 			CacheSize:      cacheSize,
 			RequestTimeout: 2 * time.Second,
 			PeerFill:       pool.FillThreshold(),
-		})
-		n.node = cluster.NewNode(pool, n.svc)
+		}))
 		handlers[i].Store(n.node.Handler())
 	}
-	gwPool, err := cluster.NewGatewayPool(cluster.Options{
+	if c.gwPool, err = cluster.NewGatewayPool(cluster.Options{
 		Members:      members,
 		DownAfter:    2,
 		ProbeTimeout: 2 * time.Second,
-		HTTPClient:   httpc,
-		Breaker:      breaker,
-	})
-	if err != nil {
-		res.fail("gateway setup: " + err.Error())
-		return res
+		HTTPClient:   gwc,
+		Breaker:      soakBreaker,
+	}); err != nil {
+		return fmt.Errorf("gateway setup: %w", err)
 	}
-	gw := cluster.NewGateway(gwPool, cluster.GatewayOptions{})
-	gwTS := httptest.NewServer(gw.Handler())
+	c.gwTS = httptest.NewServer(cluster.NewGateway(c.gwPool, gwOpts).Handler())
+	return nil
+}
 
-	pools := make([]*cluster.Pool, 0, clusterNodes+1)
-	for _, n := range nodes {
-		pools = append(pools, n.pool)
+// close tears down whatever start built, the gateway first.
+func (c *soakCluster) close() {
+	if c.gwTS != nil {
+		c.gwTS.Close()
+		c.gwPool.Close()
 	}
-	pools = append(pools, gwPool)
-	converge := func() {
-		// Deterministic health convergence: DownAfter probe rounds on
-		// every pool, instead of waiting on a background heartbeat.
-		for r := 0; r < 2; r++ {
-			for _, p := range pools {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				p.CheckNow(ctx)
-				cancel()
-			}
+	for _, n := range c.nodes {
+		n.ts.Close()
+		if n.node != nil {
+			n.node.Close()
 		}
 	}
+}
 
-	gwClient := blobclient.New(blobclient.Options{
-		BaseURL: gwTS.URL, HTTPClient: httpc, Breaker: soakBreakerOff})
-	direct := make([]*blobclient.Client, clusterNodes)
-	for i, n := range nodes {
-		direct[i] = blobclient.New(blobclient.Options{
-			BaseURL: n.ts.URL, HTTPClient: httpc, Breaker: soakBreakerOff})
+// peerOf names the replica behind a request so netfault rules can
+// target members, not ephemeral 127.0.0.1 ports.
+func (c *soakCluster) peerOf(r *http.Request) string {
+	for _, n := range c.nodes {
+		if n.ts.Listener.Addr().String() == r.URL.Host {
+			return n.name
+		}
 	}
+	return r.URL.Host
+}
 
-	// The chaos run. Pass 0 warms in order; later passes are seeded
-	// shuffles. Most traffic goes through the gateway (owner-routed);
-	// every fifth request hits a replica directly, which on a local miss
-	// exercises the peer-fill path to the shard owner.
-	rng := rand.New(rand.NewSource(seed))
-	verdicts := map[int]string{}
+// converge is deterministic health convergence: DownAfter probe rounds
+// on every pool, instead of waiting on a background heartbeat. Only the
+// cluster profile calls it: the partition profile's gateway client
+// counts probes as netfault exchanges, so probing would shift its index
+// windows.
+func (c *soakCluster) converge() {
+	for r := 0; r < 2; r++ {
+		for _, n := range c.nodes {
+			checkNow(n.node.Pool())
+		}
+		checkNow(c.gwPool)
+	}
+}
+
+func checkNow(p *cluster.Pool) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	p.CheckNow(ctx)
+}
+
+// clusterSchedule is the request schedule both cluster profiles and
+// their single-node reference replay: passes over a working set of dims
+// 4x one replica's cache, so a single node thrashes (~25% hits) while
+// each ring owner's arc (~1/3 of the set) nearly fits (~75% hits) — the
+// gap the cluster profile's scaling floor measures.
+type clusterSchedule struct {
+	seed                    int64
+	cacheSize, dims, passes int
+}
+
+func newClusterSchedule(seed int64, short bool) clusterSchedule {
+	if short {
+		return clusterSchedule{seed, 24, 96, 5}
+	}
+	return clusterSchedule{seed, 36, 144, 9}
+}
+
+// orders returns each pass's dims: pass 0 warms in order, later passes
+// are seeded shuffles. Pass 0 still draws its shuffle, so a seed's
+// passes stay those its past artifacts record.
+func (s clusterSchedule) orders() [][]int {
+	rng := rand.New(rand.NewSource(s.seed))
+	orders := make([][]int, s.passes)
+	for pass := range orders {
+		orders[pass] = rng.Perm(s.dims)
+		for i, idx := range orders[pass] {
+			if pass == 0 {
+				idx = i
+			}
+			orders[pass][i] = 24 + 2*idx
+		}
+	}
+	return orders
+}
+
+// clusterRun tallies one run of the schedule: the artifact counters,
+// the verdict served for each dim, the dims served two different
+// verdicts, and the worst latency.
+type clusterRun struct {
+	ProfileResult
+	verdicts   map[int]string
+	diverged   []int
+	maxLatency time.Duration
+}
+
+func newClusterRun(name string, peak int) *clusterRun {
+	return &clusterRun{ProfileResult: newProfileResult(name, peak), verdicts: map[int]string{}}
+}
+
+func (r *clusterRun) add(s *shot) {
+	r.count(s)
+	r.maxLatency = max(r.maxLatency, s.latency)
+	if s.status != http.StatusOK {
+		return
+	}
+	if prev, ok := r.verdicts[s.dim]; ok && prev != s.thresholds {
+		r.diverged = append(r.diverged, s.dim)
+	}
+	r.verdicts[s.dim] = s.thresholds
+}
+
+// drive runs the schedule against the cluster and tallies it into run.
+// Most shots go through the gateway (owner-routed) over the peer
+// client; every fifth goes straight to a replica on a client built from
+// direct, which on a local miss exercises the peer-fill path to the
+// shard owner. beforePass, when set, runs at the start of each pass.
+func (c *soakCluster) drive(run *clusterRun, sched clusterSchedule, direct blobclient.Options, beforePass func(pass int)) {
+	gw := blobclient.New(blobclient.Options{
+		BaseURL: c.gwTS.URL, HTTPClient: c.peerc, Breaker: soakBreakerOff})
+	directs := make([]*blobclient.Client, len(c.nodes))
+	for i, n := range c.nodes {
+		direct.BaseURL = n.ts.URL
+		directs[i] = blobclient.New(direct)
+	}
 	began := time.Now()
-	var maxLatency time.Duration
-	for pass := 0; pass < passes; pass++ {
-		if pass == killPass {
-			nodes[1].kill()
-			converge()
+	for pass, order := range sched.orders() {
+		if beforePass != nil {
+			beforePass(pass)
 		}
-		if pass == revivePass {
-			nodes[1].revive()
-			converge()
-			time.Sleep(breaker.OpenTimeout + 50*time.Millisecond) // let open breakers re-probe
-		}
-		order := rng.Perm(dims)
-		if pass == 0 {
-			for i := range order {
-				order[i] = i
-			}
-		}
-		for j, idx := range order {
-			dim := workingSet[idx]
-			cl := gwClient
+		for j, dim := range order {
+			cl := gw
 			if j%5 == 4 {
-				target := (pass + j) % clusterNodes
-				if nodes[target].killed.Load() {
+				target := (pass + j) % len(c.nodes)
+				if c.nodes[target].killed.Load() {
 					continue // a client of a dead replica just fails; nothing to score
 				}
-				cl = direct[target]
+				cl = directs[target]
 			}
 			s, err := thresholdShot(cl, dim)
 			if err != nil {
-				continue // transport error (kill window); rerouted retries come via later passes
+				continue // transport error past the client's retries; later passes revisit the dim
 			}
-			res.Requests++
-			res.Statuses[fmt.Sprint(s.status)]++
-			if s.latency > maxLatency {
-				maxLatency = s.latency
-			}
-			if s.status != http.StatusOK {
-				res.Sheds[s.reason]++
-				continue
-			}
-			res.OK++
-			if s.cached {
-				res.Cached++
-			}
-			if s.filledFrom != "" {
-				res.PeerFills++
-			}
-			if prev, ok := verdicts[dim]; ok && prev != s.thresholds {
-				res.fail(fmt.Sprintf("dim %d served two different verdicts across the chaos run", dim))
-			}
-			verdicts[dim] = s.thresholds
+			run.add(s)
 		}
 	}
-	res.DurationMs = float64(time.Since(began)) / float64(time.Millisecond)
-	res.MaxLatencyMs = float64(maxLatency) / float64(time.Millisecond)
-
-	gwTS.Close()
-	gwPool.Close()
-	for _, n := range nodes {
-		n.ts.Close()
-		n.node.Close()
-	}
-
-	// The single-node reference: the identical schedule (same seed, same
-	// passes, no kill) against one replica with the same cache size. It
-	// is both the hit-rate baseline and the byte-identical verdict oracle.
-	singleHits, singleOK, reference := runClusterReference(seed, cacheSize, dims, passes, workingSet, httpc)
-	transport.CloseIdleConnections()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res.GoroutineAfter = runtime.NumGoroutine()
-		if res.GoroutineAfter <= res.GoroutineBaseline+goroutineTolerance || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Score.
-	if res.OK == 0 {
-		res.fail("cluster run completed no requests")
-		return res
-	}
-	if singleOK == 0 {
-		res.fail("single-node reference completed no requests")
-		return res
-	}
-	res.ClusterHitRate = float64(res.Cached) / float64(res.OK)
-	res.SingleHitRate = float64(singleHits) / float64(singleOK)
-	if res.SingleHitRate > 0 {
-		res.HitScaling = res.ClusterHitRate / res.SingleHitRate
-	}
-	if res.HitScaling < clusterHitScalingFloor {
-		res.fail(fmt.Sprintf("cluster cache-hit scaling %.2fx below floor %.1fx (cluster %.3f, single %.3f)",
-			res.HitScaling, clusterHitScalingFloor, res.ClusterHitRate, res.SingleHitRate))
-	}
-	if res.PeerFills == 0 {
-		res.fail("peer-fill path never served a request")
-	}
-	for dim, v := range verdicts {
-		if ref, ok := reference[dim]; !ok {
-			res.fail(fmt.Sprintf("dim %d missing from the single-node reference", dim))
-		} else if ref != v {
-			res.fail(fmt.Sprintf("dim %d: cluster verdict differs from single-node reference", dim))
-		}
-	}
-	if maxLatency > clusterLatencyBudget {
-		res.fail(fmt.Sprintf("request hung %.0fms, budget %s", res.MaxLatencyMs, clusterLatencyBudget))
-	}
-	if res.GoroutineAfter > res.GoroutineBaseline+goroutineTolerance {
-		res.fail(fmt.Sprintf("goroutine leak: %d after drain, baseline %d",
-			res.GoroutineAfter, res.GoroutineBaseline))
-	}
-	res.VerdictDigest = digest(verdicts)
-	res.ReferenceDigest = digest(reference)
-	return res
+	run.DurationMs = float64(time.Since(began)) / float64(time.Millisecond)
+	run.MaxLatencyMs = float64(run.maxLatency) / float64(time.Millisecond)
 }
 
-// runClusterReference replays the cluster schedule against one node.
-func runClusterReference(seed int64, cacheSize, dims, passes int, workingSet []int, httpc *http.Client) (hits, ok int, verdicts map[int]string) {
-	svc := service.New(service.Options{
+// finish tears the cluster down and replays the schedule (same seed,
+// same passes, no kill, no faults) against one clean node with the same
+// cache size, over the peer client: the byte-identical verdict oracle,
+// and the cluster profile's hit-rate baseline. Then it drops the edges'
+// idle connections and settles the goroutine count.
+func (c *soakCluster) finish(run *clusterRun, sched clusterSchedule) *clusterRun {
+	c.close()
+	ref := replay(service.Options{
 		Workers:        2,
-		CacheSize:      cacheSize,
+		CacheSize:      sched.cacheSize,
 		RequestTimeout: 2 * time.Second,
-	})
+	}, c.peerc, sched.orders())
+	for _, t := range c.edges {
+		t.CloseIdleConnections()
+	}
+	run.GoroutineAfter = settleGoroutines(run.GoroutineBaseline)
+	return ref
+}
+
+// replay sends the dims of each pass in turn to a fresh, quiet service
+// built from opts and tallies every shot that completes: the fault-free
+// reference the verdict checks compare against.
+func replay(opts service.Options, httpc *http.Client, passes [][]int) *clusterRun {
+	svc := service.New(opts)
 	ts := httptest.NewServer(svc.Handler())
 	defer func() {
 		ts.Close()
@@ -314,27 +329,94 @@ func runClusterReference(seed int64, cacheSize, dims, passes int, workingSet []i
 	}()
 	cl := blobclient.New(blobclient.Options{
 		BaseURL: ts.URL, HTTPClient: httpc, Breaker: soakBreakerOff})
-
-	rng := rand.New(rand.NewSource(seed))
-	verdicts = map[int]string{}
-	for pass := 0; pass < passes; pass++ {
-		order := rng.Perm(dims)
-		if pass == 0 {
-			for i := range order {
-				order[i] = i
+	ref := newClusterRun("reference", 1)
+	for _, dims := range passes {
+		for _, dim := range dims {
+			if s, err := thresholdShot(cl, dim); err == nil {
+				ref.add(s)
 			}
-		}
-		for _, idx := range order {
-			s, err := thresholdShot(cl, workingSet[idx])
-			if err != nil || s.status != http.StatusOK {
-				continue
-			}
-			ok++
-			if s.cached {
-				hits++
-			}
-			verdicts[workingSet[idx]] = s.thresholds
 		}
 	}
-	return hits, ok, verdicts
+	return ref
+}
+
+// clusterWords is a profile's wording of scoreCluster's violations; each
+// %d takes the dim.
+type clusterWords struct {
+	diverged, noReference, missing, differs string
+}
+
+// scoreCluster applies the checks both cluster profiles share and writes
+// both digests. It reports whether the run and its reference completed
+// enough to go on to the profile's own checks.
+func scoreCluster(run, ref *clusterRun, budget time.Duration, words clusterWords) bool {
+	for _, dim := range run.diverged {
+		run.fail(fmt.Sprintf(words.diverged, dim))
+	}
+	if run.OK == 0 {
+		run.fail(run.Name + " run completed no requests")
+		return false
+	}
+	if ref.OK == 0 {
+		run.fail(words.noReference)
+		return false
+	}
+	for _, dim := range sortedDims(run.verdicts) {
+		if want, ok := ref.verdicts[dim]; !ok {
+			run.fail(fmt.Sprintf(words.missing, dim))
+		} else if want != run.verdicts[dim] {
+			run.fail(fmt.Sprintf(words.differs, dim))
+		}
+	}
+	if run.maxLatency > budget {
+		run.fail(fmt.Sprintf("request hung %.0fms, budget %s", run.MaxLatencyMs, budget))
+	}
+	run.checkLeak()
+	run.VerdictDigest = digest(run.verdicts)
+	run.ReferenceDigest = digest(ref.verdicts)
+	return true
+}
+
+// runClusterProfile drives the chaos scenario and scores it.
+func runClusterProfile(seed int64, short bool) ProfileResult {
+	run := newClusterRun("cluster", clusterNodes)
+	sched := newClusterSchedule(seed, short)
+	killPass, revivePass := 2, sched.passes-2
+
+	c := &soakCluster{}
+	httpc := c.edge(nil)
+	if err := c.start(sched.cacheSize, httpc, httpc, cluster.GatewayOptions{}); err != nil {
+		c.close()
+		run.fail(err.Error())
+		return run.ProfileResult
+	}
+	c.drive(run, sched, blobclient.Options{HTTPClient: httpc, Breaker: soakBreakerOff}, func(pass int) {
+		switch pass {
+		case killPass:
+			c.nodes[1].kill()
+			c.converge()
+		case revivePass:
+			c.nodes[1].revive()
+			c.converge()
+			time.Sleep(soakBreaker.OpenTimeout + 50*time.Millisecond) // let open breakers re-probe
+		}
+	})
+	ref := c.finish(run, sched)
+
+	if !scoreCluster(run, ref, clusterLatencyBudget, clusterWording) {
+		return run.ProfileResult
+	}
+	run.ClusterHitRate = float64(run.Cached) / float64(run.OK)
+	run.SingleHitRate = float64(ref.Cached) / float64(ref.OK)
+	if run.SingleHitRate > 0 {
+		run.HitScaling = run.ClusterHitRate / run.SingleHitRate
+	}
+	if run.HitScaling < clusterHitScalingFloor {
+		run.fail(fmt.Sprintf("cluster cache-hit scaling %.2fx below floor %.1fx (cluster %.3f, single %.3f)",
+			run.HitScaling, clusterHitScalingFloor, run.ClusterHitRate, run.SingleHitRate))
+	}
+	if run.PeerFills == 0 {
+		run.fail("peer-fill path never served a request")
+	}
+	return run.ProfileResult
 }

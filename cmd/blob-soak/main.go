@@ -114,14 +114,15 @@ type phase struct {
 
 // profile is one scripted overload scenario.
 type profile struct {
-	name      string
-	phases    []phase
-	faults    bool // arm the chaos fault plan
-	fair      bool // enable per-client fair share
-	aimd      bool // enable the AIMD target latency
-	dispatch  bool // drive /v1/dispatch batches instead of threshold sweeps
-	clustered bool // N-replica cluster chaos (cluster.go), not a load profile
-	partition bool // network-fault cluster chaos (partition.go), not a load profile
+	name     string
+	phases   []phase
+	faults   bool // arm the chaos fault plan
+	fair     bool // enable per-client fair share
+	aimd     bool // enable the AIMD target latency
+	dispatch bool // drive /v1/dispatch batches instead of threshold sweeps
+	// run, when set, replaces the load phases with a cluster chaos run
+	// (cluster.go, partition.go).
+	run func(seed int64, short bool) ProfileResult
 }
 
 // profiles returns the scripted scenarios for a given worker count; 4x
@@ -135,8 +136,8 @@ func allProfiles(workers int) []profile {
 		{name: "sustain", aimd: true, phases: []phase{{burst, 1}}},
 		{name: "chaos", faults: true, phases: []phase{{burst, 1}}},
 		{name: "dispatch", dispatch: true, phases: []phase{{burst, 1}}},
-		{name: "cluster", clustered: true, phases: []phase{{clusterNodes, 1}}},
-		{name: "partition", partition: true, phases: []phase{{partitionNodes, 1}}},
+		{name: "cluster", run: runClusterProfile, phases: []phase{{clusterNodes, 1}}},
+		{name: "partition", run: runPartitionProfile, phases: []phase{{partitionNodes, 1}}},
 	}
 }
 
@@ -268,10 +269,8 @@ func run() error {
 				p.name, window, p.phases[len(p.phases)-1].clients)
 		}
 		var res ProfileResult
-		if p.clustered {
-			res = runClusterProfile(*seed, *short)
-		} else if p.partition {
-			res = runPartitionProfile(*seed, *short)
+		if p.run != nil {
+			res = p.run(*seed, *short)
 		} else {
 			res = runProfile(p, *workers, *seed, window, *sweepCost, plan)
 		}
@@ -384,15 +383,7 @@ func soakClients(url string, hc *http.Client, id int) (plain, tight *blobclient.
 // runProfile stands up a fresh server, drives the profile's phases, and
 // scores the outcome against the SLOs.
 func runProfile(p profile, workers int, seed int64, window time.Duration, sweepCost time.Duration, plan *faultinject.Plan) ProfileResult {
-	res := ProfileResult{
-		Name:     p.name,
-		PeakLoad: p.phases[len(p.phases)-1].clients,
-		Sheds:    map[string]int{},
-		Statuses: map[string]int{},
-		Pass:     true,
-	}
-	res.GoroutineBaseline = runtime.NumGoroutine()
-
+	res := newProfileResult(p.name, p.phases[len(p.phases)-1].clients)
 	opts := service.Options{
 		Workers:        workers,
 		Queue:          2 * workers,
@@ -442,14 +433,7 @@ func runProfile(p profile, workers int, seed int64, window time.Duration, sweepC
 	ts.Close()
 	svc.Close()
 	transport.CloseIdleConnections()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res.GoroutineAfter = runtime.NumGoroutine()
-		if res.GoroutineAfter <= res.GoroutineBaseline+goroutineTolerance || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	res.GoroutineAfter = settleGoroutines(res.GoroutineBaseline)
 
 	score(&res, shots, hotWarmed)
 	if p.dispatch {
@@ -602,16 +586,10 @@ func canonicalThresholds(m map[string]service.ThresholdBody) string {
 // score aggregates the shots and applies the SLO ceilings.
 func score(res *ProfileResult, shots []shot, hotWarmed bool) {
 	var fast []time.Duration
-	shed := 0
 	for _, s := range shots {
-		res.Requests++
-		res.Statuses[fmt.Sprint(s.status)]++
+		res.count(&s)
 		switch {
 		case s.status == http.StatusOK:
-			res.OK++
-			if s.cached {
-				res.Cached++
-			}
 			// Fast tiers: result-cache hits and dispatch batches (the
 			// decision path is microseconds per call; a whole batch must
 			// still clear the fast SLO).
@@ -619,24 +597,19 @@ func score(res *ProfileResult, shots []shot, hotWarmed bool) {
 				fast = append(fast, s.latency)
 			}
 		case s.status == http.StatusTooManyRequests || s.status == http.StatusServiceUnavailable:
-			shed++
-			res.Sheds[s.reason]++
 			// An abandoned follower waited in the queue for its flight's
 			// initiator; it is a queue wait, not an immediate answer, so it
 			// stays out of the fast tier.
 			if s.reason != "abandoned" {
 				fast = append(fast, s.latency)
 			}
-		default:
-			shed++
-			res.Sheds[s.reason]++
 		}
 	}
 	if res.Requests == 0 {
 		res.fail("profile produced no requests")
 		return
 	}
-	res.ShedRate = float64(shed) / float64(res.Requests)
+	res.ShedRate = float64(res.Requests-res.OK) / float64(res.Requests)
 	res.FastP99Ms = float64(p99(fast)) / float64(time.Millisecond)
 
 	if !hotWarmed {
@@ -656,10 +629,7 @@ func score(res *ProfileResult, shots []shot, hotWarmed bool) {
 			res.fail(fmt.Sprintf("%d sheds with unknown reason %q", n, reason))
 		}
 	}
-	if res.GoroutineAfter > res.GoroutineBaseline+goroutineTolerance {
-		res.fail(fmt.Sprintf("goroutine leak: %d after drain, baseline %d",
-			res.GoroutineAfter, res.GoroutineBaseline))
-	}
+	res.checkLeak()
 }
 
 // scoreDispatch applies the dispatch profile's extra SLO: with a bounded
@@ -682,9 +652,62 @@ func scoreDispatch(res *ProfileResult, shots []shot) {
 	}
 }
 
+// newProfileResult opens a profile's record, taking the goroutine
+// baseline before the profile starts anything.
+func newProfileResult(name string, peak int) ProfileResult {
+	return ProfileResult{
+		Name:              name,
+		PeakLoad:          peak,
+		Sheds:             map[string]int{},
+		Statuses:          map[string]int{},
+		GoroutineBaseline: runtime.NumGoroutine(),
+		Pass:              true,
+	}
+}
+
+// count adds one shot to the artifact counters; every non-200 is a shed.
+func (r *ProfileResult) count(s *shot) {
+	r.Requests++
+	r.Statuses[fmt.Sprint(s.status)]++
+	if s.status != http.StatusOK {
+		r.Sheds[s.reason]++
+		return
+	}
+	r.OK++
+	if s.cached {
+		r.Cached++
+	}
+	if s.filledFrom != "" {
+		r.PeerFills++
+	}
+}
+
 func (r *ProfileResult) fail(msg string) {
 	r.Pass = false
 	r.Violations = append(r.Violations, msg)
+}
+
+// settleGoroutines waits up to 5s, once a profile has torn everything
+// down, for the goroutine count to fall back within goroutineTolerance
+// of baseline, and returns the last count.
+func settleGoroutines(baseline int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= baseline+goroutineTolerance || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// checkLeak fails a profile whose goroutines did not settle back to
+// baseline.
+func (r *ProfileResult) checkLeak() {
+	if r.GoroutineAfter > r.GoroutineBaseline+goroutineTolerance {
+		r.fail(fmt.Sprintf("goroutine leak: %d after drain, baseline %d",
+			r.GoroutineAfter, r.GoroutineBaseline))
+	}
 }
 
 // p99 returns the 99th-percentile duration (0 for an empty set).
@@ -722,46 +745,37 @@ func verifyVerdicts(res *ProfileResult, shots []shot, workers int) {
 	}
 
 	// The fault-free reference: a quiet server, sequential requests.
-	svc := service.New(service.Options{Workers: workers, Sweep: costedSweep(0, nil)})
-	ts := httptest.NewServer(svc.Handler())
 	transport := &http.Transport{}
 	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
-	cl := blobclient.New(blobclient.Options{
-		BaseURL: ts.URL, HTTPClient: client, Breaker: soakBreakerOff})
-	reference := map[int]string{}
-	dims := make([]int, 0, len(verdicts))
-	for dim := range verdicts {
-		dims = append(dims, dim)
-	}
-	sort.Ints(dims)
+	dims := sortedDims(verdicts)
+	ref := replay(service.Options{Workers: workers, Sweep: costedSweep(0, nil)}, client, [][]int{dims})
+	transport.CloseIdleConnections()
 	for _, dim := range dims {
-		s, err := thresholdShot(cl, dim)
-		if err != nil || s.status != http.StatusOK {
+		if want, ok := ref.verdicts[dim]; !ok {
 			res.fail(fmt.Sprintf("reference sweep for dim %d failed", dim))
-			continue
-		}
-		reference[dim] = s.thresholds
-		if verdicts[dim] != s.thresholds {
+		} else if want != verdicts[dim] {
 			res.fail(fmt.Sprintf("dim %d: chaos verdict differs from fault-free reference", dim))
 		}
 	}
-	ts.Close()
-	svc.Close()
-	transport.CloseIdleConnections()
-
 	res.VerdictDigest = digest(verdicts)
-	res.ReferenceDigest = digest(reference)
+	res.ReferenceDigest = digest(ref.verdicts)
 }
 
-// digest is a stable fingerprint of a dim -> verdict map.
-func digest(m map[int]string) string {
+// sortedDims lists a verdict map's dims in order, so digests and
+// violation lists come out the same on every run.
+func sortedDims(m map[int]string) []int {
 	dims := make([]int, 0, len(m))
 	for d := range m {
 		dims = append(dims, d)
 	}
 	sort.Ints(dims)
+	return dims
+}
+
+// digest is a stable fingerprint of a dim -> verdict map.
+func digest(m map[int]string) string {
 	h := sha256.New()
-	for _, d := range dims {
+	for _, d := range sortedDims(m) {
 		fmt.Fprintf(h, "%d=%s\n", d, m[d])
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -58,5 +59,93 @@ func TestScoreFailsSlowImmediateSheds(t *testing.T) {
 	score(&res, shots, true)
 	if res.Pass || len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "fast-tier p99") {
 		t.Fatalf("pass=%v violations=%v, want one fast-tier p99 violation", res.Pass, res.Violations)
+	}
+}
+
+// cleanClusterRuns is a cluster run that served every dim of its
+// reference, byte for byte, within the latency budget, with goroutines
+// settled exactly at the tolerance edge.
+func cleanClusterRuns() (run, ref *clusterRun) {
+	run = &clusterRun{ProfileResult: newResult(), maxLatency: time.Second,
+		verdicts: map[int]string{24: `{"a":1}`, 26: `{"a":2}`, 28: `{"a":3}`}}
+	run.Name, run.OK, run.MaxLatencyMs = "cluster", 3, 1000
+	run.GoroutineBaseline, run.GoroutineAfter = 10, 10+goroutineTolerance
+	ref = &clusterRun{ProfileResult: newResult(),
+		verdicts: map[int]string{24: `{"a":1}`, 26: `{"a":2}`, 28: `{"a":3}`}}
+	ref.OK = 3
+	return run, ref
+}
+
+func TestScoreClusterPassesCleanRun(t *testing.T) {
+	run, ref := cleanClusterRuns()
+	if !scoreCluster(run, ref, clusterLatencyBudget, clusterWording) || !run.Pass {
+		t.Fatalf("clean run failed: %v", run.Violations)
+	}
+	if run.VerdictDigest == "" || run.VerdictDigest != run.ReferenceDigest {
+		t.Fatalf("digests %q and %q, want equal and set", run.VerdictDigest, run.ReferenceDigest)
+	}
+}
+
+// TestScoreClusterFailsKnownBadRuns spoils one thing of a clean run at a
+// time; each must fail with its own violation and nothing else.
+func TestScoreClusterFailsKnownBadRuns(t *testing.T) {
+	cases := []struct {
+		name  string
+		spoil func(run, ref *clusterRun)
+		want  string
+	}{
+		{"verdict differs", func(_, ref *clusterRun) { ref.verdicts[26] = `{"a":9}` },
+			"dim 26: cluster verdict differs from single-node reference"},
+		{"dim missing from reference", func(_, ref *clusterRun) { delete(ref.verdicts, 28) },
+			"dim 28 missing from the single-node reference"},
+		{"shot over budget", func(run, _ *clusterRun) {
+			run.maxLatency, run.MaxLatencyMs = clusterLatencyBudget+time.Millisecond, 5001
+		}, "request hung 5001ms, budget 5s"},
+		{"goroutine leak", func(run, _ *clusterRun) { run.GoroutineAfter++ },
+			"goroutine leak: 19 after drain, baseline 10"},
+		{"two verdicts for one dim", func(run, _ *clusterRun) { run.diverged = []int{24} },
+			"dim 24 served two different verdicts across the chaos run"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run, ref := cleanClusterRuns()
+			tc.spoil(run, ref)
+			scoreCluster(run, ref, clusterLatencyBudget, clusterWording)
+			if run.Pass || len(run.Violations) != 1 || run.Violations[0] != tc.want {
+				t.Fatalf("pass=%v violations=%q, want exactly %q", run.Pass, run.Violations, tc.want)
+			}
+		})
+	}
+}
+
+// TestScoreClusterStopsWithoutWork: a run or reference that completed
+// nothing fails outright, before any per-dim or digest check.
+func TestScoreClusterStopsWithoutWork(t *testing.T) {
+	run, ref := cleanClusterRuns()
+	run.OK = 0
+	if scoreCluster(run, ref, partitionLatencyBudget, partitionWording) || run.VerdictDigest != "" ||
+		len(run.Violations) != 1 || run.Violations[0] != "cluster run completed no requests" {
+		t.Fatalf("violations=%q digest=%q", run.Violations, run.VerdictDigest)
+	}
+	run, ref = cleanClusterRuns()
+	ref.OK = 0
+	if scoreCluster(run, ref, partitionLatencyBudget, partitionWording) ||
+		len(run.Violations) != 1 || run.Violations[0] != "unfaulted reference completed no requests" {
+		t.Fatalf("violations=%q", run.Violations)
+	}
+}
+
+// TestScoreClusterListsDimsInOrder: violations come out in dim order, so
+// a failing artifact reads the same on every run.
+func TestScoreClusterListsDimsInOrder(t *testing.T) {
+	run, ref := cleanClusterRuns()
+	ref.verdicts[28], ref.verdicts[24] = `{"a":8}`, `{"a":9}`
+	scoreCluster(run, ref, clusterLatencyBudget, clusterWording)
+	want := []string{
+		"dim 24: cluster verdict differs from single-node reference",
+		"dim 28: cluster verdict differs from single-node reference",
+	}
+	if !slices.Equal(run.Violations, want) {
+		t.Fatalf("violations=%q, want %q", run.Violations, want)
 	}
 }

@@ -24,24 +24,20 @@ package main
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/netfault"
 	"repro/internal/resilience"
-	"repro/internal/service"
 	"repro/pkg/blobclient"
 )
 
 const (
+	// partitionNodes is the partition profile's peak load; the shared
+	// fixture runs clusterNodes replicas, which it must equal.
 	partitionNodes = 3
 	// partitionLatencyBudget bounds every request in the faulted run: the
 	// replica request timeout (2s) plus routing, hedging, blackhole hold
@@ -93,260 +89,83 @@ func partitionClientPlan(seed int64) (*netfault.Plan, error) {
 }`, seed+1)))
 }
 
+var partitionWording = clusterWords{
+	diverged:    "dim %d served two different verdicts across the faulted run",
+	noReference: "unfaulted reference completed no requests",
+	missing:     "dim %d missing from the unfaulted reference",
+	differs:     "dim %d: faulted verdict differs from the unfaulted replay",
+}
+
 // runPartitionProfile drives the network-fault scenario and scores it.
 func runPartitionProfile(seed int64, short bool) ProfileResult {
-	res := ProfileResult{
-		Name:     "partition",
-		PeakLoad: partitionNodes,
-		Sheds:    map[string]int{},
-		Statuses: map[string]int{},
-		Pass:     true,
-	}
-	res.GoroutineBaseline = runtime.NumGoroutine()
-
-	cacheSize, dims, passes := 36, 144, 9
-	if short {
-		cacheSize, dims, passes = 24, 96, 5
-	}
-	workingSet := make([]int, dims)
-	for i := range workingSet {
-		workingSet[i] = 24 + 2*i
-	}
+	run := newClusterRun("partition", partitionNodes)
+	sched := newClusterSchedule(seed, short)
 
 	gwPlan, err := partitionGatewayPlan(seed, short)
 	if err != nil {
-		res.fail("gateway fault plan: " + err.Error())
-		return res
+		run.fail("gateway fault plan: " + err.Error())
+		return run.ProfileResult
 	}
 	clPlan, err := partitionClientPlan(seed)
 	if err != nil {
-		res.fail("client fault plan: " + err.Error())
-		return res
+		run.fail("client fault plan: " + err.Error())
+		return run.ProfileResult
 	}
 	gwInj := gwPlan.Arm()
 	clInj := clPlan.Arm()
 
-	breaker := resilience.BreakerConfig{
-		MinRequests: 1, FailureRatio: 0.5, OpenTimeout: 300 * time.Millisecond,
-	}
 	// Three clients, three trust levels: replicas talk to each other on a
 	// clean transport (the faults under test are on the client-facing
 	// edges), the gateway reaches replicas through gwInj, and the direct
 	// clients read replies through clInj's body-corrupting wrapper.
-	cleanTransport := &http.Transport{MaxIdleConnsPerHost: 64}
-	cleanc := &http.Client{Transport: cleanTransport, Timeout: 10 * time.Second}
-
-	nodes := make([]*soakNode, partitionNodes)
-	handlers := make([]atomic.Value, partitionNodes)
-	for i := range nodes {
-		n := &soakNode{name: fmt.Sprintf("rep-%d", i)}
-		slot := &handlers[i]
-		n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			slot.Load().(http.Handler).ServeHTTP(w, r)
-		}))
-		nodes[i] = n
-	}
-	members := make([]cluster.Member, partitionNodes)
-	hostToPeer := map[string]string{}
-	for i, n := range nodes {
-		members[i] = cluster.Member{Name: n.name, URL: n.ts.URL}
-		if u, err := url.Parse(n.ts.URL); err == nil {
-			hostToPeer[u.Host] = n.name
-		}
-	}
-	// peerOf names the replica behind a faulted request so plan rules can
-	// target members, not ephemeral 127.0.0.1 ports.
-	peerOf := func(r *http.Request) string {
-		if name, ok := hostToPeer[r.URL.Host]; ok {
-			return name
-		}
-		return r.URL.Host
-	}
-	gwTransport := &http.Transport{MaxIdleConnsPerHost: 64}
-	gwc := &http.Client{
-		Transport: &netfault.Transport{Inner: gwTransport, Injector: gwInj, Peer: peerOf},
-		Timeout:   10 * time.Second,
-	}
-	clTransport := &http.Transport{MaxIdleConnsPerHost: 64}
-	faultyc := &http.Client{
-		Transport: &netfault.Transport{Inner: clTransport, Injector: clInj, Peer: peerOf},
-		Timeout:   10 * time.Second,
-	}
-
-	for i, n := range nodes {
-		pool, err := cluster.NewPool(cluster.Options{
-			Self:         n.name,
-			Members:      members,
-			DownAfter:    2,
-			ProbeTimeout: 2 * time.Second,
-			FillTimeout:  5 * time.Second,
-			HTTPClient:   cleanc,
-			Breaker:      breaker,
-		})
-		if err != nil {
-			res.fail("cluster setup: " + err.Error())
-			return res
-		}
-		n.pool = pool
-		n.svc = service.New(service.Options{
-			Workers:        2,
-			CacheSize:      cacheSize,
-			RequestTimeout: 2 * time.Second,
-			PeerFill:       pool.FillThreshold(),
-		})
-		n.node = cluster.NewNode(pool, n.svc)
-		handlers[i].Store(n.node.Handler())
-	}
-	gwPool, err := cluster.NewGatewayPool(cluster.Options{
-		Members:      members,
-		DownAfter:    2,
-		ProbeTimeout: 2 * time.Second,
-		HTTPClient:   gwc,
-		Breaker:      breaker,
-	})
-	if err != nil {
-		res.fail("gateway setup: " + err.Error())
-		return res
-	}
-	gw := cluster.NewGateway(gwPool, cluster.GatewayOptions{
+	c := &soakCluster{}
+	cleanc, gwc, faultyc := c.edge(nil), c.edge(gwInj), c.edge(clInj)
+	err = c.start(sched.cacheSize, cleanc, gwc, cluster.GatewayOptions{
 		Hedge:      true,
 		HedgeAfter: partitionHedgeAfter,
 	})
-	gwTS := httptest.NewServer(gw.Handler())
-
-	gwClient := blobclient.New(blobclient.Options{
-		BaseURL: gwTS.URL, HTTPClient: cleanc, Breaker: soakBreakerOff})
-	direct := make([]*blobclient.Client, partitionNodes)
-	for i, n := range nodes {
-		direct[i] = blobclient.New(blobclient.Options{
-			BaseURL:    n.ts.URL,
-			HTTPClient: faultyc,
-			Breaker:    soakBreakerOff,
-			Retry:      resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond},
-		})
+	if err != nil {
+		c.close()
+		run.fail(err.Error())
+		return run.ProfileResult
 	}
 
-	// The faulted run. Same schedule shape as the cluster profile: pass 0
-	// warms in order, later passes are seeded shuffles, every fifth
-	// request goes to a replica directly (through the body-corrupting
-	// transport). The partitions arrive purely from the gateway plan's
-	// index windows as its injector counts evaluations.
-	rng := rand.New(rand.NewSource(seed))
-	verdicts := map[int]string{}
-	began := time.Now()
-	var maxLatency time.Duration
-	for pass := 0; pass < passes; pass++ {
-		order := rng.Perm(dims)
-		if pass == 0 {
-			for i := range order {
-				order[i] = i
-			}
-		}
-		for j, idx := range order {
-			dim := workingSet[idx]
-			cl := gwClient
-			if j%5 == 4 {
-				cl = direct[(pass+j)%partitionNodes]
-			}
-			s, err := thresholdShot(cl, dim)
-			if err != nil {
-				continue // transport fault that outlived the retry budget
-			}
-			res.Requests++
-			res.Statuses[fmt.Sprint(s.status)]++
-			if s.latency > maxLatency {
-				maxLatency = s.latency
-			}
-			if s.status != http.StatusOK {
-				res.Sheds[s.reason]++
-				continue
-			}
-			res.OK++
-			if s.cached {
-				res.Cached++
-			}
-			if s.filledFrom != "" {
-				res.PeerFills++
-			}
-			if prev, ok := verdicts[dim]; ok && prev != s.thresholds {
-				res.fail(fmt.Sprintf("dim %d served two different verdicts across the faulted run", dim))
-			}
-			verdicts[dim] = s.thresholds
-		}
-	}
-	res.DurationMs = float64(time.Since(began)) / float64(time.Millisecond)
-	res.MaxLatencyMs = float64(maxLatency) / float64(time.Millisecond)
-	res.HedgeWins = scrapeCounter(gwTS.URL+"/metrics", "blob_gateway_hedge_wins_total")
+	// The faulted run: the cluster profile's schedule with no kill, its
+	// direct shots read through the body-corrupting transport. The
+	// partitions arrive purely from the gateway plan's index windows as
+	// its injector counts evaluations.
+	c.drive(run, sched, blobclient.Options{
+		HTTPClient: faultyc,
+		Breaker:    soakBreakerOff,
+		Retry:      resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond},
+	}, nil)
+	run.HedgeWins = scrapeCounter(c.gwTS.URL+"/metrics", "blob_gateway_hedge_wins_total")
 	gwStats, clStats := gwInj.Stats(), clInj.Stats()
-	res.FaultsInjected = int(gwStats.Total() + clStats.Total())
+	run.FaultsInjected = int(gwStats.Total() + clStats.Total())
+	ref := c.finish(run, sched)
 
-	gwTS.Close()
-	gwPool.Close()
-	for _, n := range nodes {
-		n.ts.Close()
-		n.node.Close()
+	if !scoreCluster(run, ref, partitionLatencyBudget, partitionWording) {
+		return run.ProfileResult
 	}
-
-	// The unfaulted replay: identical seed and schedule against a single
-	// clean node — the byte-identical verdict oracle.
-	_, refOK, reference := runClusterReference(seed, cacheSize, dims, passes, workingSet, cleanc)
-	cleanTransport.CloseIdleConnections()
-	gwTransport.CloseIdleConnections()
-	clTransport.CloseIdleConnections()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res.GoroutineAfter = runtime.NumGoroutine()
-		if res.GoroutineAfter <= res.GoroutineBaseline+goroutineTolerance || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Score.
-	if res.OK == 0 {
-		res.fail("partition run completed no requests")
-		return res
-	}
-	if refOK == 0 {
-		res.fail("unfaulted reference completed no requests")
-		return res
-	}
-	for dim, v := range verdicts {
-		if ref, ok := reference[dim]; !ok {
-			res.fail(fmt.Sprintf("dim %d missing from the unfaulted reference", dim))
-		} else if ref != v {
-			res.fail(fmt.Sprintf("dim %d: faulted verdict differs from the unfaulted replay", dim))
-		}
-	}
-	if maxLatency > partitionLatencyBudget {
-		res.fail(fmt.Sprintf("request hung %.0fms, budget %s", res.MaxLatencyMs, partitionLatencyBudget))
-	}
-	if res.HedgeWins < 1 {
-		res.fail("slow-peer rule produced no hedge wins at the gateway")
+	if run.HedgeWins < 1 {
+		run.fail("slow-peer rule produced no hedge wins at the gateway")
 	}
 	if gwStats.Fired[netfault.Blackhole] == 0 {
-		res.fail("partition windows never fired (plan indices missed the run)")
+		run.fail("partition windows never fired (plan indices missed the run)")
 	}
 	if clStats.Fired[netfault.Truncate]+clStats.Fired[netfault.Corrupt] == 0 {
-		res.fail("body-corruption rules never fired on the direct edges")
+		run.fail("body-corruption rules never fired on the direct edges")
 	}
-	if res.GoroutineAfter > res.GoroutineBaseline+goroutineTolerance {
-		res.fail(fmt.Sprintf("goroutine leak: %d after drain, baseline %d",
-			res.GoroutineAfter, res.GoroutineBaseline))
-	}
-	res.VerdictDigest = digest(verdicts)
-	res.ReferenceDigest = digest(reference)
-	if res.VerdictDigest != res.ReferenceDigest {
-		// The per-dim loop above names the first divergent dim; the digest
-		// check additionally catches dims the faulted run never served.
-		for dim := range reference {
-			if _, ok := verdicts[dim]; !ok {
-				res.fail(fmt.Sprintf("dim %d never served through the faulted run", dim))
+	if run.VerdictDigest != run.ReferenceDigest {
+		// scoreCluster names each divergent dim; the digest check
+		// additionally catches dims the faulted run never served.
+		for _, dim := range sortedDims(ref.verdicts) {
+			if _, ok := run.verdicts[dim]; !ok {
+				run.fail(fmt.Sprintf("dim %d never served through the faulted run", dim))
 			}
 		}
 	}
-	return res
+	return run.ProfileResult
 }
 
 // scrapeCounter reads one untyped counter value off a Prometheus text

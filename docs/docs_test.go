@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,6 +176,51 @@ func TestDocFlagsExist(t *testing.T) {
 			if !strings.Contains(src, `"`+f+`"`) {
 				t.Errorf("%s documents flag -%s but %s no longer declares it", tc.doc, f, tc.src)
 			}
+		}
+	}
+}
+
+// TestDocSoakGateMatchesVerify: a soak command README.md or
+// EXPERIMENTS.md labels as the CI/verify gate must be the one
+// scripts/verify.sh runs, output path aside, so a reader who copies it
+// runs the profiles the gate runs.
+func TestDocSoakGateMatchesVerify(t *testing.T) {
+	soakArgs := func(line string) []string {
+		cmd, _, _ := strings.Cut(line, "#")
+		fields := strings.Fields(cmd)
+		for i, f := range fields {
+			if f == "-o" {
+				return fields[:i]
+			}
+		}
+		return fields
+	}
+	var gate []string
+	for _, line := range strings.Split(readDoc(t, "../scripts/verify.sh"), "\n") {
+		if strings.HasPrefix(line, "go run ./cmd/blob-soak ") {
+			if gate != nil {
+				t.Fatal("scripts/verify.sh runs blob-soak twice; which one is the gate?")
+			}
+			gate = soakArgs(line)
+		}
+	}
+	if gate == nil {
+		t.Fatal("scripts/verify.sh no longer runs blob-soak")
+	}
+	for _, doc := range []string{"../README.md", "../EXPERIMENTS.md"} {
+		labelled := 0
+		for _, line := range strings.Split(readDoc(t, doc), "\n") {
+			_, comment, _ := strings.Cut(line, "#")
+			if !strings.Contains(line, "cmd/blob-soak") || !slices.Contains(strings.Fields(comment), "gate") {
+				continue
+			}
+			labelled++
+			if got := soakArgs(line); !reflect.DeepEqual(got, gate) {
+				t.Errorf("%s calls %q the gate; scripts/verify.sh runs %q", doc, strings.Join(got, " "), strings.Join(gate, " "))
+			}
+		}
+		if labelled == 0 {
+			t.Errorf("%s no longer shows the soak gate command", doc)
 		}
 	}
 }

@@ -69,9 +69,14 @@ type Report struct {
 // Error-level entries may appear in a parsed report (the -format=json
 // output includes them) but never suppress anything: errors must be fixed
 // or carry a source-level allow directive.
+//
+// Entries are counted, not deduplicated: a key listed n times suppresses
+// at most n findings, so one entry cannot hide a second identical
+// warning added later.
 type Baseline struct {
-	findings map[string]Finding
-	hits     map[string]bool
+	entries []Finding      // every entry, in document order
+	warn    map[string]int // warn entries per key
+	spent   map[string]int // warn entries per key a finding has used
 }
 
 // ParseBaseline strictly decodes a baseline/report document. Any
@@ -92,7 +97,7 @@ func ParseBaseline(data []byte) (*Baseline, error) {
 	if rep.Schema != BaselineSchema {
 		return nil, fmt.Errorf("baseline: schema %q, want %q", rep.Schema, BaselineSchema)
 	}
-	b := &Baseline{findings: map[string]Finding{}, hits: map[string]bool{}}
+	b := &Baseline{entries: rep.Findings, warn: map[string]int{}, spent: map[string]int{}}
 	for i, f := range rep.Findings {
 		if f.Analyzer == "" || f.File == "" || f.Message == "" {
 			return nil, fmt.Errorf("baseline: finding %d missing analyzer, file or message", i)
@@ -103,36 +108,43 @@ func ParseBaseline(data []byte) (*Baseline, error) {
 		if f.Line < 0 || f.Column < 0 {
 			return nil, fmt.Errorf("baseline: finding %d has negative position", i)
 		}
-		b.findings[f.key()] = f
+		if f.Severity == SevWarn {
+			b.warn[f.key()]++
+		}
 	}
 	return b, nil
 }
 
-// Covers reports whether f is suppressed by the baseline. Only
-// warn-severity findings are ever suppressed, and only by a warn-severity
-// baseline entry.
+// Covers reports whether f is suppressed by the baseline, spending one
+// matching entry if so. Only warn-severity findings are ever suppressed,
+// and only by a warn-severity baseline entry not yet spent.
 func (b *Baseline) Covers(f Finding) bool {
 	if b == nil || f.Severity != SevWarn {
 		return false
 	}
-	ent, ok := b.findings[f.key()]
-	if !ok || ent.Severity != SevWarn {
+	k := f.key()
+	if b.spent[k] >= b.warn[k] {
 		return false
 	}
-	b.hits[f.key()] = true
+	b.spent[k]++
 	return true
 }
 
-// Unused returns baseline entries that no finding matched, sorted by file
-// then analyzer. Drivers surface these so a fixed warning is removed from
-// the baseline instead of lingering as a stale suppression.
+// Unused returns the warn entries no finding spent, sorted by file then
+// line. Drivers surface these so a fixed warning is removed from the
+// baseline instead of lingering as a stale suppression.
 func (b *Baseline) Unused() []Finding {
 	if b == nil {
 		return nil
 	}
 	var out []Finding
-	for k, f := range b.findings {
-		if !b.hits[k] && f.Severity == SevWarn {
+	seen := map[string]int{}
+	for _, f := range b.entries {
+		if f.Severity != SevWarn {
+			continue
+		}
+		k := f.key()
+		if seen[k]++; seen[k] > b.spent[k] {
 			out = append(out, f)
 		}
 	}
@@ -140,12 +152,12 @@ func (b *Baseline) Unused() []Finding {
 	return out
 }
 
-// Len returns the number of entries in the baseline.
+// Len returns the number of entries in the baseline, duplicates included.
 func (b *Baseline) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.findings)
+	return len(b.entries)
 }
 
 // MarshalReport renders findings as the canonical JSON document (sorted,

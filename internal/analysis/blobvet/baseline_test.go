@@ -53,6 +53,50 @@ func TestBaselineUnused(t *testing.T) {
 	}
 }
 
+// TestBaselineCountsEntries: identical entries are counted, so each one
+// suppresses exactly one finding and reports as unused on its own.
+func TestBaselineCountsEntries(t *testing.T) {
+	w := Finding{Analyzer: "floatcompare", Severity: SevWarn, File: "a.go", Line: 3, Message: "exact float comparison"}
+	parse := func(n int) *Baseline {
+		t.Helper()
+		entries := make([]Finding, n)
+		for i := range entries {
+			entries[i] = w
+			entries[i].Line = 3 + i
+		}
+		data, err := MarshalReport(entries)
+		if err != nil {
+			t.Fatalf("MarshalReport: %v", err)
+		}
+		bl, err := ParseBaseline(data)
+		if err != nil {
+			t.Fatalf("ParseBaseline: %v", err)
+		}
+		return bl
+	}
+
+	// Two identical findings against one entry: one stays reported.
+	bl := parse(1)
+	if !bl.Covers(w) || bl.Covers(w) {
+		t.Errorf("one entry must suppress exactly one of two identical findings")
+	}
+	if u := bl.Unused(); len(u) != 0 {
+		t.Errorf("Unused()=%v, want none", u)
+	}
+
+	// Two entries against one finding: one entry is left unused.
+	bl = parse(2)
+	if bl.Len() != 2 {
+		t.Errorf("Len=%d, want 2 (duplicates count)", bl.Len())
+	}
+	if !bl.Covers(w) {
+		t.Errorf("baseline should cover the finding")
+	}
+	if u := bl.Unused(); len(u) != 1 || u[0].Line != 4 {
+		t.Errorf("Unused()=%v, want the second entry only", u)
+	}
+}
+
 func TestParseBaselineRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"invalid JSON":    `{"schema": "blobvet-baseline/v1", "findings": [`,
