@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // fastShots is a healthy run's fast tier: cache hits answered in 1 ms.
@@ -147,5 +149,81 @@ func TestScoreClusterListsDimsInOrder(t *testing.T) {
 	}
 	if !slices.Equal(run.Violations, want) {
 		t.Fatalf("violations=%q, want %q", run.Violations, want)
+	}
+}
+
+// TestP99 pins the percentile rule: index ⌊0.99·(n+1)⌋ of the sorted
+// durations, clamped to the last, so below 200 samples p99 is the
+// maximum. The input order must not matter and the input must not be
+// reordered.
+func TestP99(t *testing.T) {
+	ms := func(n int) []time.Duration {
+		ds := make([]time.Duration, n)
+		for i := range ds {
+			ds[i] = time.Duration(n-i) * time.Millisecond // descending
+		}
+		return ds
+	}
+	cases := []struct {
+		n    int
+		want time.Duration
+	}{
+		{0, 0},
+		{1, time.Millisecond},
+		{100, 100 * time.Millisecond},
+		{101, 101 * time.Millisecond},
+		{200, 199 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		ds := ms(tc.n)
+		if got := p99(ds); got != tc.want {
+			t.Errorf("p99 of %d samples = %v, want %v", tc.n, got, tc.want)
+		}
+		if tc.n > 1 && ds[0] < ds[1] {
+			t.Errorf("p99 of %d samples sorted its input", tc.n)
+		}
+	}
+}
+
+// TestVerifyVerdicts runs the chaos profile's verdict check on synthetic
+// shots against its real fault-free reference: matching verdicts pass
+// with equal digests, and each known-bad run fails with its violation.
+func TestVerifyVerdicts(t *testing.T) {
+	ref := replay(service.Options{Workers: 1, Sweep: costedSweep(0, nil)},
+		&http.Client{Timeout: 30 * time.Second}, [][]int{{24, 26}})
+	good := map[int]string{24: ref.verdicts[24], 26: ref.verdicts[26]}
+	if good[24] == "" || good[26] == "" {
+		t.Fatalf("reference verdicts %q: want one per dim", good)
+	}
+	const bad = `{"Once":{"found":true,"notation":"{1, 1}"}}`
+	ok := func(dim int, verdict string) shot {
+		return shot{status: http.StatusOK, dim: dim, thresholds: verdict}
+	}
+	cases := []struct {
+		name  string
+		shots []shot
+		want  []string
+	}{
+		{"clean", []shot{ok(24, good[24]), ok(26, good[26]), ok(24, good[24]),
+			{status: http.StatusServiceUnavailable, dim: 26}}, nil},
+		{"two verdicts for one dim", []shot{ok(24, good[24]), ok(26, good[26]), ok(24, bad)},
+			[]string{"dim 24 served two different verdicts under chaos",
+				"dim 24: chaos verdict differs from fault-free reference"}},
+		{"no verdicts", []shot{{status: http.StatusServiceUnavailable, dim: 24}, ok(26, "")},
+			[]string{"chaos profile completed no verdicts to verify"}},
+		{"verdict differs", []shot{ok(24, good[24]), ok(26, bad)},
+			[]string{"dim 26: chaos verdict differs from fault-free reference"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := newResult()
+			verifyVerdicts(&res, tc.shots, 1)
+			if res.Pass != (tc.want == nil) || !slices.Equal(res.Violations, tc.want) {
+				t.Fatalf("pass=%v violations=%q, want %q", res.Pass, res.Violations, tc.want)
+			}
+			if tc.want == nil && (res.VerdictDigest == "" || res.VerdictDigest != res.ReferenceDigest) {
+				t.Fatalf("digests %q and %q, want equal and set", res.VerdictDigest, res.ReferenceDigest)
+			}
+		})
 	}
 }

@@ -57,9 +57,11 @@ func main() {
 			serOpen = ser
 		}
 		curve := plot.Curve{Label: ser.CPULibrary}
-		for _, smp := range ser.Samples {
+		for i := range ser.Samples {
+			smp := &ser.Samples[i]
+			cpu, _ := ser.Gflops(smp)
 			curve.X = append(curve.X, float64(smp.Dims.M))
-			curve.Y = append(curve.Y, smp.CPUGflops)
+			curve.Y = append(curve.Y, cpu)
 		}
 		chart.Curves = append(chart.Curves, plot.Downsample(curve, 140))
 	}

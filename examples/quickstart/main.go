@@ -53,15 +53,14 @@ func main() {
 	fmt.Println("\nperformance excerpt (GFLOP/s):")
 	fmt.Printf("  %6s %12s %12s %12s %12s\n", "M=N=K", "CPU", "GPU Once", "GPU Always", "GPU USM")
 	for _, n := range []int{8, 32, 128, 512, 1024} {
-		for _, smp := range series.Samples {
+		for i := range series.Samples {
+			smp := &series.Samples[i]
 			if smp.Dims.M != n {
 				continue
 			}
-			fmt.Printf("  %6d %12.1f %12.1f %12.1f %12.1f\n", n,
-				smp.CPUGflops,
-				smp.GPUGflops[xfer.TransferOnce],
-				smp.GPUGflops[xfer.TransferAlways],
-				smp.GPUGflops[xfer.Unified])
+			cpu, gpu := series.Gflops(smp)
+			fmt.Printf("  %6d %12.1f %12.1f %12.1f %12.1f\n", n, cpu,
+				gpu[xfer.TransferOnce], gpu[xfer.TransferAlways], gpu[xfer.Unified])
 		}
 	}
 

@@ -59,8 +59,9 @@ func DefaultSuite(opt Options) []Case {
 	}
 
 	cases = append(cases,
-		sweepCase("dawn", core.GEMM, core.F64, sweepDim),
-		sweepCase("isambard-ai", core.GEMV, core.F32, sweepDim),
+		sweepCase("dawn", core.GEMM, core.F64, sweepDim, core.ModelRoofline),
+		sweepCase("isambard-ai", core.GEMV, core.F32, sweepDim, core.ModelRoofline),
+		sweepCase("lumi", core.GEMM, core.F32, sweepDim, core.ModelBlackbox),
 		retryOverheadCase(sweepDim),
 		adviseCase(),
 		blackboxAdviseCase(),
@@ -138,9 +139,14 @@ func gemvCase(prec core.Precision, n int) Case {
 
 // sweepCase benchmarks one modeled offload sweep — the unit of work behind
 // POST /v1/threshold and the experiments registry. Validation is off so
-// the case isolates the sweep engine and timing models.
-func sweepCase(system string, kernel core.KernelKind, prec core.Precision, maxDim int) Case {
+// the case isolates the sweep engine and timing models. A blackbox case,
+// named with a "/blackbox" suffix, prices every sample through the
+// committed efficiency tables.
+func sweepCase(system string, kernel core.KernelKind, prec core.Precision, maxDim int, model core.ModelKind) Case {
 	name := fmt.Sprintf("sweep/%s/%s/%s/d%d", kernelToken(kernel), precToken(prec), system, maxDim)
+	if model == core.ModelBlackbox {
+		name += "/blackbox"
+	}
 	return Case{
 		Name:  name,
 		Group: "sweep",
@@ -153,7 +159,7 @@ func sweepCase(system string, kernel core.KernelKind, prec core.Precision, maxDi
 			if err != nil {
 				return nil, nil, err
 			}
-			cfg := core.Config{MinDim: 1, MaxDim: maxDim, Step: 1, Iterations: 8, Alpha: 1}
+			cfg := core.Config{MinDim: 1, MaxDim: maxDim, Step: 1, Iterations: 8, Alpha: 1, Model: model}
 			return func() error {
 				_, err := core.RunProblem(ctx, sys, pt, prec, cfg)
 				return err

@@ -80,6 +80,7 @@ func startCluster(t *testing.T, n int) []*testNode {
 			PeerFill:  pool.FillThreshold(),
 		})
 		tn.node = NewNode(pool, svc)
+		waitArmed(t, tn.name, svc)
 		handler := tn.node.Handler()
 		tn.sh.h.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if tn.killed.Load() {
@@ -90,6 +91,25 @@ func startCluster(t *testing.T, n int) []*testNode {
 		t.Cleanup(tn.node.Close)
 	}
 	return nodes
+}
+
+// waitArmed returns once svc reports ready. A replica answers /readyz
+// with 503 "not_ready" until its worker goroutines have started, and a
+// probe that lands first counts as a miss: on a busy host two such
+// misses took a healthy replica out of a test's ring.
+func waitArmed(t *testing.T, name string, svc *service.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ok, reason := svc.Ready()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s not ready after 10s: %s", name, reason)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func countingSweep(n *atomic.Int64) service.SweepFunc {

@@ -104,17 +104,43 @@ func newCheckpointWriter(sys systems.System, pt ProblemType, prec Precision, cfg
 }
 
 // load returns the checkpoint to resume from, or nil when there is none.
-// A file bound to a different key (corruption, a hash collision) is
-// ignored rather than trusted.
-func (w *checkpointWriter) load() *Checkpoint {
+// A file bound to a different key (corruption, a hash collision), or one
+// whose progress this sweep could not have written, is ignored rather
+// than trusted, and the sweep starts from scratch.
+func (w *checkpointWriter) load(pt ProblemType, cfg Config) *Checkpoint {
 	if w == nil {
 		return nil
 	}
 	cp, err := LoadCheckpoint(w.path)
-	if err != nil || cp.Key != w.key {
+	if err != nil || cp.Key != w.key || !cp.prefixOf(pt, cfg) {
 		return nil
 	}
 	return cp
+}
+
+// prefixOf reports whether cp is progress the sweep of pt under cfg
+// saves: NextP is one of the sweep's parameter values, at most the first
+// one past MaxDim, and the samples' P and Dims are exactly the sizes the
+// sweep records before it, in order. The walk stops at MaxDim, so a huge
+// NextP costs no more than one sweep's sizes.
+func (cp *Checkpoint) prefixOf(pt ProblemType, cfg Config) bool {
+	i := 0
+	for p := cfg.MinDim; ; p += cfg.Step {
+		if p == cp.NextP {
+			return i == len(cp.Samples)
+		}
+		d := pt.Dims(p)
+		if d.MaxDim() > cfg.MaxDim {
+			return false
+		}
+		if !pt.valid(d) {
+			continue
+		}
+		if i == len(cp.Samples) || cp.Samples[i].P != p || cp.Samples[i].Dims != d {
+			return false
+		}
+		i++
+	}
 }
 
 // save atomically writes progress: completed samples plus the next sweep

@@ -225,12 +225,11 @@ type Sample struct {
 	P            int
 	Dims         Dims
 	FlopsPerIter int64
-	// CPU timing (total for all iterations) and derived rate.
+	// CPU timing, total for all iterations. Series.Gflops turns it and
+	// the GPU timings into rates.
 	CPUSeconds float64
-	CPUGflops  float64
 	// GPU timing per strategy, indexed by xfer.Strategy.
 	GPUSeconds [NumStrategies]float64
-	GPUGflops  [NumStrategies]float64
 	// Checksum validation results (only meaningful when Validated).
 	Validated                bool
 	ChecksumOK               bool
@@ -271,6 +270,18 @@ type Series struct {
 
 // KernelName returns e.g. "SGEMM" for the series.
 func (s *Series) KernelName() string { return KernelName(s.Precision, s.Problem.Kernel) }
+
+// Gflops returns a sample's rates: the sample's FLOPs over all
+// Config.Iterations divided by its CPU seconds and by each strategy's
+// GPU seconds. A device the sweep did not run reads 0. The sweep stores
+// only times; every rate a CSV, figure or example shows comes from here.
+func (s *Series) Gflops(smp *Sample) (cpu float64, gpu [NumStrategies]float64) {
+	total := int64(s.Config.Iterations) * smp.FlopsPerIter
+	for st, sec := range smp.GPUSeconds {
+		gpu[st] = flops.GFLOPS(total, sec)
+	}
+	return flops.GFLOPS(total, smp.CPUSeconds), gpu
+}
 
 // RunProblem sweeps one problem type on one system. Timing comes from the
 // system's calibrated models; numerics are validated by really executing
@@ -327,7 +338,7 @@ func RunProblem(ctx context.Context, sys systems.System, pt ProblemType, prec Pr
 		if err != nil {
 			return nil, err
 		}
-		if cp := ckpt.load(); cp != nil {
+		if cp := ckpt.load(pt, cfg); cp != nil {
 			ser.Samples = cp.Samples
 			if cfg.Mode == ModeBoth {
 				for i := range ser.Samples {
@@ -362,42 +373,35 @@ func RunProblem(ctx context.Context, sys systems.System, pt ProblemType, prec Pr
 		} else {
 			fl = flops.Gemv(d.M, d.N, flops.Beta{IsZero: beta0})
 		}
-		// Fill the sample in place in the pre-sized slice rather than
-		// copying a ~150-byte struct into it; until it is complete it
-		// stays out of every checkpoint (done, below).
-		ser.Samples = append(ser.Samples, Sample{P: p, Dims: d, FlopsPerIter: fl})
-		done := ser.Samples[:len(ser.Samples)-1]
+		// Fill the sample in place in the pre-sized slice: appending the
+		// zero Sample clears the slot where it lies, while appending a
+		// filled literal would build it aside and copy it in. Until it is
+		// complete it stays out of every checkpoint (done, below).
+		done := ser.Samples
+		ser.Samples = append(ser.Samples, Sample{})
 		smp := &ser.Samples[len(done)]
-		totalFlops := int64(cfg.Iterations) * fl
-		onRetry := func(int, error) { smp.Retries++ }
+		smp.P, smp.Dims, smp.FlopsPerIter = p, d, fl
 
+		// Each backend call's first attempt is a plain call; only a failed
+		// one pays for resilience.Retry's closure and policy checks.
 		if cfg.Mode != ModeGPUOnly {
-			var sec float64
-			err := resilience.Do(ctx, pol, func() error {
-				var e error
-				switch {
-				case cfg.LiveCPU != nil && pt.Kernel == GEMM:
-					sec = cfg.LiveCPU.GemmSeconds(es, d.M, d.N, d.K, beta0, cfg.Iterations)
-				case cfg.LiveCPU != nil:
-					sec = cfg.LiveCPU.GemvSeconds(es, d.M, d.N, beta0, cfg.Iterations)
-				case pt.Kernel == GEMM:
-					sec, e = sys.CPU.TimeGemm(es, d.M, d.N, d.K, beta0, cfg.Iterations)
-				default:
-					sec, e = sys.CPU.TimeGemv(es, d.M, d.N, beta0, cfg.Iterations)
-				}
-				return e
-			}, onRetry)
+			sec, err := cpuSeconds(&sys, cfg.LiveCPU, pt.Kernel, es, d, beta0, cfg.Iterations)
+			if err != nil {
+				err = resilience.Retry(ctx, pol, err, func() (e error) {
+					sec, e = cpuSeconds(&sys, cfg.LiveCPU, pt.Kernel, es, d, beta0, cfg.Iterations)
+					return e
+				}, smp.countRetry)
+			}
 			if err != nil {
 				ckpt.save(done, p)
 				return nil, fmt.Errorf("core: cpu backend at p=%d after %d retries: %w", p, smp.Retries, err)
 			}
 			smp.CPUSeconds = sec
-			smp.CPUGflops = flops.GFLOPS(totalFlops, sec)
 		}
 		if cfg.Mode != ModeCPUOnly {
 			// The device kernel is the same under every strategy: price it
 			// once, then add each strategy's movement behind its own
-			// fault sites and retry loop.
+			// fault sites.
 			var bd gpumodel.Breakdown
 			kernel, dim := "gemm", d.MaxDim() // the fault-injection sites
 			if pt.Kernel == GEMM {
@@ -407,18 +411,18 @@ func RunProblem(ctx context.Context, sys systems.System, pt ProblemType, prec Pr
 				kernel, dim = "gemv", max(d.M, d.N)
 			}
 			for _, st := range xfer.Strategies {
-				var sec float64
-				err := resilience.Do(ctx, pol, func() error {
-					var e error
-					sec, e = sys.GPU.Time(bd, st, kernel, dim)
-					return e
-				}, onRetry)
+				sec, err := sys.GPU.Time(bd, st, kernel, dim)
+				if err != nil {
+					err = resilience.Retry(ctx, pol, err, func() (e error) {
+						sec, e = sys.GPU.Time(bd, st, kernel, dim)
+						return e
+					}, smp.countRetry)
+				}
 				if err != nil {
 					ckpt.save(done, p)
 					return nil, fmt.Errorf("core: gpu backend (%v) at p=%d after %d retries: %w", st, p, smp.Retries, err)
 				}
 				smp.GPUSeconds[st] = sec
-				smp.GPUGflops[st] = flops.GFLOPS(totalFlops, sec)
 			}
 		}
 		if cfg.Mode == ModeBoth {
@@ -443,6 +447,25 @@ func RunProblem(ctx context.Context, sys systems.System, pt ProblemType, prec Pr
 	ckpt.remove()
 	return ser, nil
 }
+
+// cpuSeconds prices one CPU call: a wall-clock measurement of the
+// repository's own kernels when live is set, else the system's CPU
+// model, whose fault sites may fail it.
+func cpuSeconds(sys *systems.System, live *LiveCPUTimer, kernel KernelKind, es int, d Dims, beta0 bool, iters int) (float64, error) {
+	switch {
+	case live != nil && kernel == GEMM:
+		return live.GemmSeconds(es, d.M, d.N, d.K, beta0, iters), nil
+	case live != nil:
+		return live.GemvSeconds(es, d.M, d.N, beta0, iters), nil
+	case kernel == GEMM:
+		return sys.CPU.TimeGemm(es, d.M, d.N, d.K, beta0, iters)
+	default:
+		return sys.CPU.TimeGemv(es, d.M, d.N, beta0, iters)
+	}
+}
+
+// countRetry is the onRetry hook of a sample's backend calls.
+func (s *Sample) countRetry(int, error) { s.Retries++ }
 
 // valid reports whether RunProblem records a sample at d: every
 // dimension the kernel uses is at least 1.

@@ -25,7 +25,8 @@ func TestRunProblemSquareGemm(t *testing.T) {
 	if len(ser.Samples) != 64 {
 		t.Fatalf("samples = %d, want 64 (256/4)", len(ser.Samples))
 	}
-	for _, smp := range ser.Samples {
+	for i := range ser.Samples {
+		smp := &ser.Samples[i]
 		if smp.CPUSeconds <= 0 {
 			t.Fatalf("%v: non-positive CPU time", smp.Dims)
 		}
@@ -34,7 +35,7 @@ func TestRunProblemSquareGemm(t *testing.T) {
 				t.Fatalf("%v %v: non-positive GPU time", smp.Dims, st)
 			}
 		}
-		if smp.CPUGflops <= 0 {
+		if cpu, _ := ser.Gflops(smp); cpu <= 0 {
 			t.Fatalf("%v: non-positive CPU GFLOPS", smp.Dims)
 		}
 	}
@@ -197,10 +198,15 @@ func TestGpuGflopsIncludeTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, smp := range ser.Samples {
+	for i := range ser.Samples {
+		smp := &ser.Samples[i]
 		if smp.GPUSeconds[xfer.TransferAlways] < smp.GPUSeconds[xfer.TransferOnce] {
 			t.Fatalf("%v: Always (%g) faster than Once (%g)", smp.Dims,
 				smp.GPUSeconds[xfer.TransferAlways], smp.GPUSeconds[xfer.TransferOnce])
+		}
+		if _, gpu := ser.Gflops(smp); gpu[xfer.TransferAlways] > gpu[xfer.TransferOnce] {
+			t.Fatalf("%v: Always rate %g above Once rate %g", smp.Dims,
+				gpu[xfer.TransferAlways], gpu[xfer.TransferOnce])
 		}
 	}
 }
@@ -244,16 +250,18 @@ func TestGflopsConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, smp := range ser.Samples {
+	for i := range ser.Samples {
+		smp := &ser.Samples[i]
+		cpu, gpu := ser.Gflops(smp)
 		total := float64(smp.FlopsPerIter) * 8
 		wantCPU := total / smp.CPUSeconds / 1e9
-		if rel := (smp.CPUGflops - wantCPU) / wantCPU; rel > 1e-12 || rel < -1e-12 {
-			t.Fatalf("%v: cpu gflops %g, want %g", smp.Dims, smp.CPUGflops, wantCPU)
+		if rel := (cpu - wantCPU) / wantCPU; rel > 1e-12 || rel < -1e-12 {
+			t.Fatalf("%v: cpu gflops %g, want %g", smp.Dims, cpu, wantCPU)
 		}
 		for _, st := range xfer.Strategies {
 			wantGPU := total / smp.GPUSeconds[st] / 1e9
-			if rel := (smp.GPUGflops[st] - wantGPU) / wantGPU; rel > 1e-12 || rel < -1e-12 {
-				t.Fatalf("%v %v: gpu gflops %g, want %g", smp.Dims, st, smp.GPUGflops[st], wantGPU)
+			if rel := (gpu[st] - wantGPU) / wantGPU; rel > 1e-12 || rel < -1e-12 {
+				t.Fatalf("%v %v: gpu gflops %g, want %g", smp.Dims, st, gpu[st], wantGPU)
 			}
 		}
 	}

@@ -59,7 +59,9 @@ func FileName(ser *core.Series) string {
 func SeriesRows(ser *core.Series) []Row {
 	kernel := ser.KernelName()
 	var rows []Row
-	for _, smp := range ser.Samples {
+	for i := range ser.Samples {
+		smp := &ser.Samples[i]
+		cpuGF, gpuGF := ser.Gflops(smp)
 		check := ""
 		if smp.Validated {
 			check = strconv.FormatBool(smp.ChecksumOK)
@@ -76,7 +78,7 @@ func SeriesRows(ser *core.Series) []Row {
 			r.Device = "CPU"
 			r.Library = ser.CPULibrary
 			r.Seconds = smp.CPUSeconds
-			r.Gflops = smp.CPUGflops
+			r.Gflops = cpuGF
 			rows = append(rows, r)
 		}
 		if ser.Config.Mode != core.ModeCPUOnly {
@@ -86,7 +88,7 @@ func SeriesRows(ser *core.Series) []Row {
 				r.Library = ser.GPULibrary
 				r.Strategy = st.String()
 				r.Seconds = smp.GPUSeconds[st]
-				r.Gflops = smp.GPUGflops[st]
+				r.Gflops = gpuGF[st]
 				rows = append(rows, r)
 			}
 		}

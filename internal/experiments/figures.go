@@ -16,21 +16,21 @@ import (
 // dimension).
 func curvesFromSeries(ser *core.Series, includeCPU bool, strategies []xfer.Strategy, labelPrefix string) []plot.Curve {
 	var curves []plot.Curve
-	x := make([]float64, len(ser.Samples))
-	for i, smp := range ser.Samples {
+	n := len(ser.Samples)
+	x, cpu := make([]float64, n), make([]float64, n)
+	gpu := make([][core.NumStrategies]float64, n)
+	for i := range ser.Samples {
+		smp := &ser.Samples[i]
 		x[i] = float64(smp.Dims.MaxDim())
+		cpu[i], gpu[i] = ser.Gflops(smp)
 	}
 	if includeCPU {
-		y := make([]float64, len(ser.Samples))
-		for i, smp := range ser.Samples {
-			y[i] = smp.CPUGflops
-		}
-		curves = append(curves, plot.Curve{Label: labelPrefix + "CPU (" + ser.CPULibrary + ")", X: x, Y: y})
+		curves = append(curves, plot.Curve{Label: labelPrefix + "CPU (" + ser.CPULibrary + ")", X: x, Y: cpu})
 	}
 	for _, st := range strategies {
-		y := make([]float64, len(ser.Samples))
-		for i, smp := range ser.Samples {
-			y[i] = smp.GPUGflops[st]
+		y := make([]float64, n)
+		for i := range gpu {
+			y[i] = gpu[i][st]
 		}
 		curves = append(curves, plot.Curve{Label: labelPrefix + "GPU " + st.String(), X: x, Y: y})
 	}

@@ -111,15 +111,21 @@ func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 // context still stops every retry, because the backoff returns its
 // error.
 func Do(ctx context.Context, p RetryPolicy, fn func() error, onRetry func(attempt int, err error)) error {
-	attempts := p.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	err := fn()
+	if err == nil {
+		return nil
 	}
+	return Retry(ctx, p, err, fn, onRetry)
+}
+
+// Retry is Do's retry loop for a caller that made the first attempt
+// itself, as a plain call, and saw it fail with err: that attempt counts
+// toward MaxAttempts, and from there on Retry behaves exactly as Do
+// would have. A hot loop calls its operation directly and pays for fn's
+// closure only after a failure.
+func Retry(ctx context.Context, p RetryPolicy, err error, fn func() error, onRetry func(attempt int, err error)) error {
+	attempts := max(p.MaxAttempts, 1)
 	for attempt := 1; ; attempt++ {
-		err := fn()
-		if err == nil {
-			return nil
-		}
 		if attempt >= attempts || !IsTransient(err) {
 			return err
 		}
@@ -128,6 +134,9 @@ func Do(ctx context.Context, p RetryPolicy, fn func() error, onRetry func(attemp
 		}
 		if serr := p.sleep(ctx, p.Delay(attempt)); serr != nil {
 			return serr
+		}
+		if err = fn(); err == nil {
+			return nil
 		}
 	}
 }

@@ -157,3 +157,44 @@ func TestDelayFullJitter(t *testing.T) {
 		t.Errorf("Delay(500) = %v, want within [0, MaxDelay]", got)
 	}
 }
+
+// TestRetryCountsCallersAttempt: Retry continues after a first attempt
+// the caller made itself, so that attempt counts toward MaxAttempts and
+// the calls, retry hooks and result match Do's for the same failures.
+func TestRetryCountsCallersAttempt(t *testing.T) {
+	first := &transientErr{n: 1}
+	cases := []struct {
+		name      string
+		pol       RetryPolicy
+		first     error
+		succeedAt int // call of fn that succeeds; 0 never
+		wantCalls int
+		wantHooks []int
+		wantErr   error
+	}{
+		{"budget counts the first attempt", RetryPolicy{MaxAttempts: 3}, first, 0, 2, []int{1, 2}, &transientErr{n: 3}},
+		{"recovers on a retry", RetryPolicy{MaxAttempts: 3}, first, 1, 1, []int{1}, nil},
+		{"no budget", RetryPolicy{}, first, 0, 0, nil, first},
+		{"one attempt", RetryPolicy{MaxAttempts: 1}, first, 0, 0, nil, first},
+		{"hard fault", RetryPolicy{MaxAttempts: 5}, &hardErr{}, 0, 0, nil, &hardErr{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0
+			var hooks []int
+			err := Retry(context.Background(), tc.pol, tc.first, func() error {
+				calls++
+				if calls == tc.succeedAt {
+					return nil
+				}
+				return &transientErr{n: calls + 1}
+			}, func(attempt int, _ error) { hooks = append(hooks, attempt) })
+			if calls != tc.wantCalls || fmt.Sprint(hooks) != fmt.Sprint(tc.wantHooks) {
+				t.Fatalf("calls=%d hooks=%v, want %d and %v", calls, hooks, tc.wantCalls, tc.wantHooks)
+			}
+			if fmt.Sprint(err) != fmt.Sprint(tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+		})
+	}
+}

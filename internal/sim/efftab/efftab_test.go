@@ -373,3 +373,90 @@ func TestSeriesErrorWithin(t *testing.T) {
 		t.Fatal("out-of-band series reported in band")
 	}
 }
+
+// TestEffParsedMatchesBuiltInCode: the committed tables, parsed from
+// JSON and rebuilt point by point in code, interpolate bit-identically
+// to each other and to the four-logarithm formula Eff used before it
+// cached each point's log(Size) — on every grid point, between grid
+// points and outside the grid.
+func TestEffParsedMatchesBuiltInCode(t *testing.T) {
+	// ref is linear interpolation in log(size) with every logarithm
+	// taken per call.
+	ref := func(pts []Point, size float64) float64 {
+		if size <= pts[0].Size {
+			return pts[0].Eff
+		}
+		last := len(pts) - 1
+		if size >= pts[last].Size {
+			return pts[last].Eff
+		}
+		hi := 1
+		for pts[hi].Size < size {
+			hi++
+		}
+		a, b := pts[hi-1], pts[hi]
+		f := (math.Log(size) - math.Log(a.Size)) / (math.Log(b.Size) - math.Log(a.Size))
+		return a.Eff + f*(b.Eff-a.Eff)
+	}
+	for _, name := range []string{"efftab_cpu.json", "efftab_gpu.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "..", "bench_data", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := &Table{Schema: parsed.Schema, Source: parsed.Source}
+		for _, s := range parsed.Series {
+			cs := Series{Kernel: s.Kernel, Precision: s.Precision, Class: s.Class}
+			for _, p := range s.Points {
+				cs.Points = append(cs.Points, Point{Size: p.Size, GFlops: p.GFlops, Eff: p.Eff})
+			}
+			built.Series = append(built.Series, cs)
+		}
+		checks := 0
+		for _, s := range parsed.Series {
+			pts := s.Points
+			sizes := []float64{pts[0].Size / 2, pts[0].Size * 0.999, pts[len(pts)-1].Size * 1.001, pts[len(pts)-1].Size * 3}
+			for i, p := range pts {
+				sizes = append(sizes, p.Size)
+				if i+1 < len(pts) {
+					q := pts[i+1].Size
+					sizes = append(sizes, math.Sqrt(p.Size*q), p.Size+(q-p.Size)/3, math.Nextafter(q, 0))
+				}
+			}
+			for _, size := range sizes {
+				want := ref(pts, size)
+				for _, tb := range []*Table{parsed, built} {
+					got, ok := tb.Eff(s.Kernel, s.Precision, s.Class, size)
+					if !ok || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %s/%s/%s at %v: Eff = %v (ok %v), want %v",
+							name, s.Kernel, s.Precision, s.Class, size, got, ok, want)
+					}
+				}
+				checks++
+			}
+		}
+		t.Logf("%s: %d sizes bit-identical", name, checks)
+	}
+}
+
+// TestEffConcurrentFirstLookup: lookups racing to build a fresh table's
+// log cache agree (and, under -race, do not race).
+func TestEffConcurrentFirstLookup(t *testing.T) {
+	tb := testTable()
+	want, _ := testTable().Eff("gemm", "f32", "square", 100)
+	got := make(chan float64, 4)
+	for range cap(got) {
+		go func() {
+			eff, _ := tb.Eff("gemm", "f32", "square", 100)
+			got <- eff
+		}()
+	}
+	for range cap(got) {
+		if eff := <-got; math.Float64bits(eff) != math.Float64bits(want) {
+			t.Fatalf("concurrent Eff = %v, want %v", eff, want)
+		}
+	}
+}

@@ -157,6 +157,7 @@ begin "fuzz smoke (10s per target)"
 go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/advisor/
 go test -run='^$' -fuzz='^FuzzPlanJSON$' -fuzztime=10s ./internal/faultinject/
 go test -run='^$' -fuzz='^FuzzConfigHash$' -fuzztime=10s ./internal/core/
+go test -run='^$' -fuzz='^FuzzCheckpointResume$' -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz='^FuzzBaselineJSON$' -fuzztime=10s ./internal/analysis/blobvet/
 go test -run='^$' -fuzz='^FuzzClusterWire$' -fuzztime=10s ./internal/cluster/
 go test -run='^$' -fuzz='^FuzzV1Body$' -fuzztime=10s ./internal/service/
