@@ -615,10 +615,12 @@ func score(res *ProfileResult, shots []shot, hotWarmed bool) {
 	if !hotWarmed {
 		res.fail("hot cache entry failed to warm")
 	}
-	if res.OK == 0 {
+	// A run that completed nothing sheds everything; it is reported once,
+	// as the collapse it is, not again as a shed rate over the ceiling.
+	switch {
+	case res.OK == 0:
 		res.fail("no request completed: total collapse, not load shedding")
-	}
-	if res.ShedRate > maxShedRate {
+	case res.ShedRate > maxShedRate:
 		res.fail(fmt.Sprintf("shed rate %.3f above ceiling %.2f", res.ShedRate, maxShedRate))
 	}
 	if d := time.Duration(res.FastP99Ms * float64(time.Millisecond)); d > fastP99SLO {

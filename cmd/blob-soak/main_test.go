@@ -64,6 +64,54 @@ func TestScoreFailsSlowImmediateSheds(t *testing.T) {
 	}
 }
 
+// TestScoreFailsKnownBadRuns: each known-bad shot list fails score or
+// scoreDispatch with exactly its own violation.
+func TestScoreFailsKnownBadRuns(t *testing.T) {
+	shed := func(n int, reason string) []shot {
+		shots := make([]shot, n)
+		for i := range shots {
+			shots[i] = shot{status: http.StatusTooManyRequests, reason: reason, latency: time.Millisecond}
+		}
+		return shots
+	}
+	batches := func(n, decisions, hits int) []shot {
+		shots := fastShots(n)
+		for i := range shots {
+			shots[i].cached, shots[i].decisions, shots[i].hits = false, decisions, hits
+		}
+		return shots
+	}
+	cases := []struct {
+		name     string
+		shots    []shot
+		dispatch bool
+		want     []string
+	}{
+		{"unknown shed reason", append(fastShots(100), shed(2, "mystery")...), false,
+			[]string{`2 sheds with unknown reason "mystery"`}},
+		{"total collapse", shed(50, "queue_full"), false,
+			[]string{"no request completed: total collapse, not load shedding"}},
+		{"no routing decisions", fastShots(10), true,
+			[]string{"dispatch profile completed no routing decisions"}},
+		{"hit rate below floor", batches(10, 64, 31), true,
+			[]string{"dispatch cache hit rate 0.484 below floor 0.50"}},
+		{"hit rate at floor", batches(10, 64, 32), true, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := newResult()
+			if tc.dispatch {
+				scoreDispatch(&res, tc.shots)
+			} else {
+				score(&res, tc.shots, true)
+			}
+			if res.Pass != (tc.want == nil) || !slices.Equal(res.Violations, tc.want) {
+				t.Fatalf("pass=%v violations=%q, want %q", res.Pass, res.Violations, tc.want)
+			}
+		})
+	}
+}
+
 // cleanClusterRuns is a cluster run that served every dim of its
 // reference, byte for byte, within the latency budget, with goroutines
 // settled exactly at the tolerance edge.

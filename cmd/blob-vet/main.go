@@ -11,51 +11,31 @@
 //	go run ./cmd/blob-vet ./...          # analyze the module, tests included
 //	go run ./cmd/blob-vet -tests=false ./internal/blas
 //	go run ./cmd/blob-vet -only floatcompare,determinism ./...
-//	go run ./cmd/blob-vet -format=sarif -sarif-out blobvet.sarif ./...
-//	go run ./cmd/blob-vet -write-baseline ./...
 //	go run ./cmd/blob-vet -list
 //
-// Severity and the baseline. Diagnostics are either error or warn
-// severity. Error findings always fail the run: they are fixed in source
-// or carry a justified //blobvet:allow. Warn findings fail unless listed
-// in the committed baseline file (blobvet.baseline.json by default):
-// pre-existing debt is frozen there, so the warn bar only ratchets. The
-// baseline parser is strict — a malformed baseline is an operational
-// error (exit 2), never a silent no-op. Stale baseline entries (fixed
-// findings still listed) are reported on stderr so the file shrinks over
-// time; -write-baseline regenerates it from the current warn findings.
-//
-// Output formats. -format=text (default) prints one finding per line;
-// -format=json emits the blobvet-baseline/v1 document (the same shape
-// the baseline file uses, so output can seed a baseline directly);
-// -format=sarif emits SARIF 2.1.0 for CI renderers. -sarif-out FILE
-// additionally writes the SARIF document to FILE regardless of -format,
-// which is how scripts/verify.sh captures an artifact without giving up
-// the textual log.
+// Every finding fails the run, printed one per line as
+// "file:line:col: [analyzer] message". A deliberate exception is
+// suppressed only in source, by a //blobvet:allow or //blobvet:file-allow
+// directive that names the analyzer and justifies itself; a directive
+// without a justification is itself a finding.
 //
 // blob-vet complements — not replaces — the toolchain's `go vet`;
 // scripts/verify.sh runs both, plus the race detector on the
 // concurrency-bearing packages.
 //
-// Exit status: 0 clean, 1 diagnostics reported, 2 operational error.
+// Exit status: 0 clean, 1 findings reported, 2 operational error (an
+// unknown -only name, patterns that match no package, a load failure).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/blobvet"
-	"repro/internal/analysis/load"
 )
-
-// defaultBaseline is the committed baseline path, relative to the
-// working directory (the module root in normal use).
-const defaultBaseline = "blobvet.baseline.json"
 
 func main() {
 	os.Exit(run())
@@ -63,13 +43,9 @@ func main() {
 
 func run() int {
 	var (
-		tests    = flag.Bool("tests", true, "include _test.go files and test packages")
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list     = flag.Bool("list", false, "print the analyzer suite and exit")
-		format   = flag.String("format", "text", "output format: text, json, or sarif")
-		baseline = flag.String("baseline", defaultBaseline, "baseline file suppressing pre-existing warn findings (\"\" disables)")
-		writeBl  = flag.Bool("write-baseline", false, "regenerate the baseline from current warn findings and exit")
-		sarifOut = flag.String("sarif-out", "", "also write SARIF 2.1.0 output to this file")
+		tests = flag.Bool("tests", true, "include _test.go files and test packages")
+		only  = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list  = flag.Bool("list", false, "print the analyzer suite and exit")
 	)
 	flag.Parse()
 
@@ -87,145 +63,24 @@ func run() int {
 			return 2
 		}
 	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "blob-vet: unknown -format=%s (want text, json, or sarif)\n", *format)
-		return 2
-	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
 		return 2
 	}
-
-	// Load the baseline. Missing at the *default* path means "no baseline
-	// yet" and is fine; an explicitly named file that does not exist, or
-	// any malformed file, is an operational error — a broken baseline
-	// must never silently resurrect or suppress findings.
-	var bl *blobvet.Baseline
-	if *baseline != "" && !*writeBl {
-		data, err := os.ReadFile(*baseline)
-		switch {
-		case err == nil:
-			bl, err = blobvet.ParseBaseline(data)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "blob-vet: %s: %v\n", *baseline, err)
-				return 2
-			}
-		case errors.Is(err, fs.ErrNotExist) && *baseline == defaultBaseline:
-			// No committed baseline: every warn finding counts.
-		default:
-			fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
-			return 2
-		}
-	}
-
-	pkgs, err := load.Module(wd, *tests, patterns...)
+	findings, err := blobvet.Vet(wd, *tests, suite, func(pkg string, err error) {
+		fmt.Fprintf(os.Stderr, "blob-vet: %s: type error: %v\n", pkg, err)
+	}, flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
 		return 2
 	}
-	if len(pkgs) == 0 {
-		// A typo'd pattern must not read as a vacuous pass in CI.
-		fmt.Fprintf(os.Stderr, "blob-vet: no packages match %s\n", strings.Join(patterns, " "))
-		return 2
-	}
-
-	var findings []blobvet.Finding
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "blob-vet: %s: type error: %v\n", pkg.ImportPath, terr)
-		}
-		// Directive hygiene runs once per package, independent of -only:
-		// a malformed allow must not hide behind analyzer selection.
-		for _, d := range blobvet.CheckDirectives(pkg.Fset, pkg.Files) {
-			findings = append(findings, blobvet.NewFinding(pkg.Fset, wd, d))
-		}
-		for _, a := range suite {
-			pass := blobvet.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-			if err := a.Run(pass); err != nil {
-				fmt.Fprintf(os.Stderr, "blob-vet: %s on %s: %v\n", a.Name, pkg.ImportPath, err)
-				return 2
-			}
-			for _, d := range pass.Diagnostics() {
-				findings = append(findings, blobvet.NewFinding(pkg.Fset, wd, d))
-			}
-		}
-	}
-
-	if *writeBl {
-		data, err := blobvet.MarshalReport(blobvet.WarnOnly(findings))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
-			return 2
-		}
-		path := *baseline
-		if path == "" {
-			path = defaultBaseline
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "blob-vet: wrote %d warn finding(s) to %s\n", len(blobvet.WarnOnly(findings)), path)
-		return 0
-	}
-
-	// Partition: error findings and unbaselined warn findings fail the
-	// run; baselined warns are suppressed.
-	var active []blobvet.Finding
 	for _, f := range findings {
-		if bl.Covers(f) {
-			continue
-		}
-		active = append(active, f)
+		fmt.Println(f)
 	}
-	for _, stale := range bl.Unused() {
-		fmt.Fprintf(os.Stderr, "blob-vet: stale baseline entry (finding no longer reported): %s:%d [%s] %s\n",
-			stale.File, stale.Line, stale.Analyzer, stale.Message)
-	}
-
-	if *sarifOut != "" {
-		data, err := blobvet.MarshalSarif(active, suite)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*sarifOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
-			return 2
-		}
-	}
-
-	switch *format {
-	case "json":
-		data, err := blobvet.MarshalReport(active)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
-			return 2
-		}
-		os.Stdout.Write(data)
-	case "sarif":
-		data, err := blobvet.MarshalSarif(active, suite)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
-			return 2
-		}
-		os.Stdout.Write(data)
-	default:
-		for _, f := range active {
-			fmt.Printf("%s:%d:%d: [%s/%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Severity, f.Message)
-		}
-	}
-
-	if len(active) > 0 {
-		fmt.Fprintf(os.Stderr, "blob-vet: %d issue(s)\n", len(active))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "blob-vet: %d issue(s)\n", len(findings))
 		return 1
 	}
 	return 0

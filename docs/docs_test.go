@@ -128,7 +128,6 @@ func TestArtifactsDocCoversSchemas(t *testing.T) {
 		fmt.Sprintf(`"schema_version": %d`, benchmark.SchemaVersion),
 		"blob-soak/v1",
 		efftab.Schema,
-		"blobvet-baseline/v1",
 		netfault.SchemaVersion,
 	}
 	for _, tok := range tokens {

@@ -14,6 +14,7 @@ package advisor
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -44,25 +45,35 @@ type Call struct {
 	Strategy xfer.Strategy
 }
 
+// The sentinels Validate wraps, one per rule, each followed in the
+// message by the offending value.
+var (
+	ErrGemmK            = errors.New("advisor: gemm needs k >= 1")
+	ErrUnknownKernel    = errors.New("advisor: unknown kernel")
+	ErrUnknownPrecision = errors.New("advisor: unknown precision")
+	ErrDims             = errors.New("advisor: dimensions must be >= 1")
+	ErrCount            = errors.New("advisor: count must be >= 1")
+)
+
 // Validate reports whether the call is well-formed.
 func (c Call) Validate() error {
 	switch c.Kernel {
 	case core.GEMM:
 		if c.K < 1 {
-			return fmt.Errorf("advisor: gemm needs k >= 1, got %d", c.K)
+			return fmt.Errorf("%w, got %d", ErrGemmK, c.K)
 		}
 	case core.GEMV:
 	default:
-		return fmt.Errorf("advisor: unknown kernel %v", c.Kernel)
+		return fmt.Errorf("%w %v", ErrUnknownKernel, c.Kernel)
 	}
 	if c.Precision != core.F32 && c.Precision != core.F64 {
-		return fmt.Errorf("advisor: unknown precision %v", c.Precision)
+		return fmt.Errorf("%w %v", ErrUnknownPrecision, c.Precision)
 	}
 	if c.M < 1 || c.N < 1 {
-		return fmt.Errorf("advisor: dimensions must be >= 1, got m=%d n=%d", c.M, c.N)
+		return fmt.Errorf("%w, got m=%d n=%d", ErrDims, c.M, c.N)
 	}
 	if c.Count < 1 {
-		return fmt.Errorf("advisor: count must be >= 1, got %d", c.Count)
+		return fmt.Errorf("%w, got %d", ErrCount, c.Count)
 	}
 	return nil
 }

@@ -5,17 +5,12 @@
 // runs anywhere Go runs"), so instead of importing x/tools this package
 // defines the same three load-bearing concepts — Analyzer, Pass and
 // Diagnostic — with exactly the surface the blob-vet checkers need. An
-// Analyzer inspects one type-checked package and reports diagnostics; a
-// driver (cmd/blob-vet, or the analysistest harness in tests) loads
-// packages and runs analyzers over them.
+// Analyzer inspects one type-checked package and reports diagnostics; Vet
+// (behind cmd/blob-vet and the repository's own clean-tree test) or the
+// analysistest harness loads packages and runs analyzers over them.
 //
-// Severity. Every diagnostic carries a severity: SevError findings are
-// contract violations that must be fixed (or explicitly allowed in
-// source), while SevWarn findings are hygiene advisories that may instead
-// be suppressed wholesale by a committed baseline file (see Baseline), so
-// pre-existing debt is frozen while new code is held to the stricter bar.
-// Reportf records an error-level diagnostic; Warnf records a warn-level
-// one.
+// Every diagnostic fails the run: a finding is fixed in source or carries
+// a justified allow directive.
 //
 // Suppression directives. A diagnostic can be silenced in source, so that
 // deliberate, documented exceptions (for example an exact float comparison
@@ -33,8 +28,8 @@
 // followed by a mandatory free-form justification introduced by " -- " (or
 // the equivalent "name: justification" colon form). A bare directive with
 // no justification is rejected: it suppresses nothing, and CheckDirectives
-// reports it as an error-level finding of the "blobvet" pseudo-analyzer,
-// so an undocumented exception cannot silently disable a check.
+// reports it as a finding of the "blobvet" pseudo-analyzer, so an
+// undocumented exception cannot silently disable a check.
 //
 // Generated files. Diagnostics positioned in files carrying the standard
 // "Code generated ... DO NOT EDIT." marker (per ast.IsGenerated) are
@@ -50,17 +45,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-)
-
-// Severity classifies a diagnostic: SevError findings fail the build
-// outright, SevWarn findings fail unless covered by the committed
-// baseline.
-type Severity string
-
-// The two severity levels.
-const (
-	SevError Severity = "error"
-	SevWarn  Severity = "warn"
 )
 
 // An Analyzer describes one invariant checker. Run inspects the Pass's
@@ -81,7 +65,6 @@ type Analyzer struct {
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
-	Severity Severity
 	Message  string
 }
 
@@ -126,21 +109,9 @@ func generatedFiles(fset *token.FileSet, files []*ast.File) map[string]bool {
 	return gen
 }
 
-// Reportf records an error-level diagnostic at pos unless a
-// //blobvet:allow or //blobvet:file-allow directive covers it or the file
-// is generated.
+// Reportf records a diagnostic at pos unless a //blobvet:allow or
+// //blobvet:file-allow directive covers it or the file is generated.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(SevError, pos, format, args...)
-}
-
-// Warnf records a warn-level diagnostic at pos: same suppression rules as
-// Reportf, but additionally eligible for baseline suppression by the
-// driver.
-func (p *Pass) Warnf(pos token.Pos, format string, args ...any) {
-	p.report(SevWarn, pos, format, args...)
-}
-
-func (p *Pass) report(sev Severity, pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.generated[position.Filename] {
 		p.suppressed++
@@ -153,7 +124,6 @@ func (p *Pass) report(sev Severity, pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
-		Severity: sev,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -184,11 +154,10 @@ func (p *Pass) TestFile(pos token.Pos) bool {
 }
 
 // CheckDirectives validates every //blobvet: directive in files and
-// returns error-level diagnostics (Analyzer "blobvet") for malformed
-// ones: a directive with no analyzer names, or — the tightened PR6
-// contract — an allow with no justification. Drivers run it once per
-// package, independent of which analyzers are selected, so a bare allow
-// naming a disabled analyzer is still rejected.
+// returns diagnostics (Analyzer "blobvet") for malformed ones: a
+// directive with no analyzer names, or an allow with no justification.
+// Analyze runs it once per package, independent of which analyzers are
+// selected, so a bare allow naming a disabled analyzer is still rejected.
 func CheckDirectives(fset *token.FileSet, files []*ast.File) []Diagnostic {
 	var diags []Diagnostic
 	gen := generatedFiles(fset, files)
@@ -205,12 +174,12 @@ func CheckDirectives(fset *token.FileSet, files []*ast.File) []Diagnostic {
 				switch {
 				case len(d.names) == 0:
 					diags = append(diags, Diagnostic{
-						Pos: c.Slash, Analyzer: "blobvet", Severity: SevError,
+						Pos: c.Slash, Analyzer: "blobvet",
 						Message: fmt.Sprintf("//blobvet:%s names no analyzers; write //blobvet:%s <analyzer>: <justification>", d.kind, d.kind),
 					})
 				case d.justification == "":
 					diags = append(diags, Diagnostic{
-						Pos: c.Slash, Analyzer: "blobvet", Severity: SevError,
+						Pos: c.Slash, Analyzer: "blobvet",
 						Message: fmt.Sprintf("bare //blobvet:%s without justification; write //blobvet:%s %s: <justification>", d.kind, d.kind, strings.Join(d.names, ",")),
 					})
 				}

@@ -12,21 +12,21 @@
 //  1. An exported function or method that takes a context.Context must
 //     receive it as the first parameter (after the receiver). This is the
 //     stdlib convention; violating it invites call sites that thread the
-//     wrong context. Error severity.
+//     wrong context.
 //
 //  2. Production code must not call context.Background() or
 //     context.TODO() outside package main: a background context severs
 //     the cancellation chain, so only the program entry point (and tests)
 //     may mint one. Deliberate detachment points — a singleflight flight
 //     that must outlive its first caller — carry an allow directive with
-//     a justification. Error severity.
+//     a justification.
 //
 //  3. In the sweep/serve packages (internal/core, internal/service), a
 //     loop inside a context-taking function that makes calls but never
 //     consults the context — no ctx.Err(), ctx.Done(), or any use of any
 //     context value in its body — runs to completion even after
-//     cancellation. Warn severity: existing long loops are baselined,
-//     new ones are pushed toward a ctx.Err() check per iteration.
+//     cancellation. The fix is a ctx.Err() check per iteration; a loop
+//     too short to be worth cancelling carries a justified allow.
 package ctxflow
 
 import (
@@ -195,7 +195,7 @@ func inspectLoop(pass *blobvet.Pass, fn *ast.FuncDecl, loop ast.Node, body *ast.
 		return true
 	})
 	if hasCall && !consultsCtx {
-		pass.Warnf(loop.Pos(),
+		pass.Reportf(loop.Pos(),
 			"loop in %s never consults its context; add a ctx.Err() check so cancellation aborts the iteration",
 			fn.Name.Name)
 	}

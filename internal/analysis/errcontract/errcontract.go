@@ -14,15 +14,8 @@
 // constructing an error with fmt.Errorf without a %w verb, or with
 // errors.New, severs the chain. Root-cause errors belong in package-level
 // sentinels (var ErrX = errors.New(...)) so callers can errors.Is them;
-// contextual errors must wrap their cause with %w.
-//
-// Severity is split by blast radius. In the simulation backends
-// (packages under internal/sim), violations are error severity: the
-// backend consult wrappers are exactly where fault-injection errors
-// enter, so an unclassifiable error there defeats the chaos gate.
-// Everywhere else in internal/, violations are warn severity —
-// pre-existing sites are frozen in the committed baseline, new code is
-// pushed toward sentinels and %w.
+// contextual errors must wrap their cause with %w. The rule holds for
+// every package under internal/.
 package errcontract
 
 import (
@@ -49,7 +42,6 @@ func run(pass *blobvet.Pass) error {
 	if !strings.Contains(path, "internal/") {
 		return nil
 	}
-	strict := strings.Contains(path, "internal/sim")
 	for _, file := range pass.Files {
 		if pass.TestFile(file.Pos()) {
 			continue
@@ -59,13 +51,13 @@ func run(pass *blobvet.Pass) error {
 			if !ok || fn.Body == nil || !fn.Name.IsExported() {
 				continue
 			}
-			checkFunc(pass, fn, strict)
+			checkFunc(pass, fn)
 		}
 	}
 	return nil
 }
 
-func checkFunc(pass *blobvet.Pass, fn *ast.FuncDecl, strict bool) {
+func checkFunc(pass *blobvet.Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // closures are not the exported boundary
@@ -88,11 +80,7 @@ func checkFunc(pass *blobvet.Pass, fn *ast.FuncDecl, strict bool) {
 			default:
 				continue
 			}
-			if strict {
-				pass.Reportf(call.Pos(), msg, fn.Name.Name)
-			} else {
-				pass.Warnf(call.Pos(), msg, fn.Name.Name)
-			}
+			pass.Reportf(call.Pos(), msg, fn.Name.Name)
 		}
 		return true
 	})

@@ -12,7 +12,7 @@
 //	//blobvet:hotpath
 //	func microKernel8x4(...)
 //
-// Inside a marked function's body, error severity:
+// Inside a marked function's body, certain allocations:
 //
 //   - &T{...}: an address-taken composite literal escapes to the heap;
 //   - []T{...} and map[K]V{...} literals: slice and map literals allocate
@@ -22,7 +22,7 @@
 //     closure allocates its environment (a capture-free literal compiles
 //     to a static function and is permitted).
 //
-// Warn severity (baseline-eligible — these are costs, not certainties):
+// and likely ones:
 //
 //   - append whose destination is not an explicit reslice (s[:0], s[:n])
 //     of an existing backing array: growth may reallocate; the fix is a
@@ -145,7 +145,7 @@ func checkHotpath(pass *blobvet.Pass, fn *ast.FuncDecl) {
 					pass.Reportf(n.Pos(), "new in hotpath %s allocates per call; hoist to a preallocated field", name)
 				case isBuiltin(pass, id, "append"):
 					if len(n.Args) > 0 && !isReslice(n.Args[0]) {
-						pass.Warnf(n.Pos(),
+						pass.Reportf(n.Pos(),
 							"append in hotpath %s may grow its backing array; append into a preallocated buffer resliced to zero (buf[:0])", name)
 					}
 				}
@@ -154,7 +154,7 @@ func checkHotpath(pass *blobvet.Pass, fn *ast.FuncDecl) {
 			// per-iteration boxing.
 			if tv, ok := pass.Info.Types[n.Fun]; ok && tv.IsType() && inLoop(n) {
 				if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
-					pass.Warnf(n.Pos(),
+					pass.Reportf(n.Pos(),
 						"interface conversion in a loop of hotpath %s boxes per iteration; convert once outside the loop", name)
 				}
 			}

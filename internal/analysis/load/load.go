@@ -31,6 +31,7 @@ package load
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -142,6 +143,10 @@ func Module(root string, tests bool, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// ErrNoGoFiles is the sentinel Dir wraps for a directory holding no Go
+// files.
+var ErrNoGoFiles = errors.New("no Go files")
+
 // Dir loads a single directory of Go files as one package with the given
 // import path, resolving its imports (standard library only) through the
 // build cache. It exists for analysistest fixtures, which live under
@@ -160,7 +165,7 @@ func Dir(dir, asPath string) (*Package, error) {
 		}
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
+		return nil, fmt.Errorf("%w in %s", ErrNoGoFiles, dir)
 	}
 	sort.Strings(files)
 

@@ -34,8 +34,8 @@
 //     OnStateChange-under-lock bug, found by this rule, hid exactly
 //     there).
 //
-// All three rules are error severity and apply to production files only;
-// tests may serialize however they like.
+// All three rules apply to production files only; tests may serialize
+// however they like.
 package locksafety
 
 import (

@@ -1,25 +1,19 @@
 package analysis_test
 
 import (
-	"errors"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/blobvet"
-	"repro/internal/analysis/load"
 )
 
 // TestRepositoryIsClean runs the full blob-vet suite over every package
-// of this module, tests included, and fails on any active finding: an
-// error-severity diagnostic, a warn-severity diagnostic not covered by
-// the committed baseline (blobvet.baseline.json), or a malformed
-// //blobvet: directive. This is the same gate scripts/verify.sh applies
-// via cmd/blob-vet, folded into `go test ./...` so the invariants
-// cannot rot unnoticed.
+// of this module, tests included, and fails on any finding: an analyzer
+// diagnostic or a malformed //blobvet: directive. This is the same gate
+// scripts/verify.sh applies via cmd/blob-vet, folded into `go test ./...`
+// so the invariants cannot rot unnoticed.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -29,56 +23,13 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Fatal("cannot locate module root")
 	}
 	root := filepath.Dir(filepath.Dir(filepath.Dir(thisFile)))
-
-	// A missing baseline means every warn finding counts; a malformed
-	// one is a hard failure, exactly as in cmd/blob-vet.
-	var bl *blobvet.Baseline
-	data, err := os.ReadFile(filepath.Join(root, "blobvet.baseline.json"))
-	switch {
-	case err == nil:
-		bl, err = blobvet.ParseBaseline(data)
-		if err != nil {
-			t.Fatalf("parsing baseline: %v", err)
-		}
-	case errors.Is(err, fs.ErrNotExist):
-	default:
-		t.Fatalf("reading baseline: %v", err)
-	}
-
-	pkgs, err := load.Module(root, true, "./...")
+	findings, err := blobvet.Vet(root, true, analysis.All(), func(pkg string, err error) {
+		t.Errorf("%s: type error: %v", pkg, err)
+	}, "./...")
 	if err != nil {
-		t.Fatalf("loading module: %v", err)
+		t.Fatal(err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatal("loader returned no packages")
-	}
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
-			t.Errorf("%s: type error: %v", pkg.ImportPath, terr)
-		}
-		report := func(d blobvet.Diagnostic) {
-			f := blobvet.NewFinding(pkg.Fset, root, d)
-			if bl.Covers(f) {
-				return
-			}
-			t.Errorf("%s:%d: [%s/%s] %s", f.File, f.Line, f.Analyzer, f.Severity, f.Message)
-		}
-		for _, d := range blobvet.CheckDirectives(pkg.Fset, pkg.Files) {
-			report(d)
-		}
-		for _, a := range analysis.All() {
-			pass := blobvet.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("analyzer %s on %s: %v", a.Name, pkg.ImportPath, err)
-			}
-			for _, d := range pass.Diagnostics() {
-				report(d)
-			}
-		}
-	}
-	// Stale entries don't fail the suite (cmd/blob-vet surfaces them on
-	// stderr every run) but they should be visible here too.
-	for _, stale := range bl.Unused() {
-		t.Logf("stale baseline entry: %s [%s] %s", stale.File, stale.Analyzer, stale.Message)
+	for _, f := range findings {
+		t.Error(f)
 	}
 }

@@ -1,5 +1,5 @@
 // Fixture isolating ctxflow rule 3: one deaf loop, nothing else. Loaded
-// as "fixture/internal/core" it produces exactly one warn; loaded as
+// as "fixture/internal/core" it produces exactly one finding; loaded as
 // "fixture/internal/csvio" (outside the loop-scope packages) it is clean.
 package core
 

@@ -1,7 +1,6 @@
 // Fixture for the errcontract analyzer. Loaded as
-// "fixture/internal/sim/backend" every finding is error severity (the
-// chaos gate depends on classifiable faults there); as
-// "fixture/internal/service" the same findings are warn severity; as
+// "fixture/internal/sim/backend" or "fixture/internal/service" it yields
+// the same findings, since the rule covers all of internal/; as
 // "fixture/pkg/outside" the analyzer is out of scope and silent.
 package backend
 

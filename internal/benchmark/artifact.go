@@ -2,6 +2,7 @@ package benchmark
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -11,6 +12,16 @@ import (
 // SchemaVersion is the artifact format version. Compare refuses to gate
 // across schema versions; bump it whenever a field changes meaning.
 const SchemaVersion = 1
+
+// The sentinels ReadArtifact, Run and Compare wrap, so callers can
+// errors.Is the condition instead of matching the message.
+var (
+	ErrSchemaVersion  = errors.New("schema_version")
+	ErrSchemaMismatch = errors.New("benchmark: schema mismatch")
+	ErrSmokeMismatch  = errors.New("benchmark: cannot compare a smoke artifact against a full one")
+	ErrNoCases        = errors.New("no cases")
+	ErrNonPositiveNs  = errors.New("non-positive ns_per_op")
+)
 
 // Host records the environment an artifact was measured on — the fields a
 // reader needs to judge whether two artifacts are comparable at all
@@ -112,11 +123,11 @@ func ReadArtifact(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("benchmark: parsing %s: %w", path, err)
 	}
 	if a.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("benchmark: %s has schema_version %d, this binary reads %d",
-			path, a.SchemaVersion, SchemaVersion)
+		return nil, fmt.Errorf("benchmark: %s has %w %d, this binary reads %d",
+			path, ErrSchemaVersion, a.SchemaVersion, SchemaVersion)
 	}
 	if len(a.Cases) == 0 {
-		return nil, fmt.Errorf("benchmark: %s contains no cases", path)
+		return nil, fmt.Errorf("benchmark: %s contains %w", path, ErrNoCases)
 	}
 	return &a, nil
 }

@@ -115,7 +115,7 @@ func Run(ctx context.Context, cases []Case, opt Options, w io.Writer) ([]CaseRes
 		cases = kept
 	}
 	if len(cases) == 0 {
-		return nil, fmt.Errorf("benchmark: no cases to run")
+		return nil, fmt.Errorf("benchmark: %w to run", ErrNoCases)
 	}
 
 	type prepared struct {

@@ -52,11 +52,11 @@ func Compare(old, next *Artifact, threshold float64) (*Report, error) {
 		threshold = DefaultNoiseThreshold
 	}
 	if old.SchemaVersion != next.SchemaVersion {
-		return nil, fmt.Errorf("benchmark: schema mismatch: old v%d vs new v%d",
-			old.SchemaVersion, next.SchemaVersion)
+		return nil, fmt.Errorf("%w: old v%d vs new v%d",
+			ErrSchemaMismatch, old.SchemaVersion, next.SchemaVersion)
 	}
 	if old.Smoke != next.Smoke {
-		return nil, fmt.Errorf("benchmark: cannot compare a smoke artifact against a full one")
+		return nil, ErrSmokeMismatch
 	}
 	rep := &Report{Threshold: threshold, OldTag: old.Tag, NewTag: next.Tag}
 
@@ -73,7 +73,7 @@ func Compare(old, next *Artifact, threshold float64) (*Report, error) {
 		}
 		matched[nc.Name] = true
 		if oc.NsPerOp <= 0 || nc.NsPerOp <= 0 {
-			return nil, fmt.Errorf("benchmark: case %s has a non-positive ns_per_op", nc.Name)
+			return nil, fmt.Errorf("benchmark: case %s has a %w", nc.Name, ErrNonPositiveNs)
 		}
 		d := Delta{
 			Name:  nc.Name,

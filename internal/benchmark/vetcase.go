@@ -34,17 +34,12 @@ func blobvetCase() Case {
 				return nil, nil, fmt.Errorf("loading internal/flops: %w", err)
 			}
 			op := func() error {
-				blobvet.CheckDirectives(pkg.Fset, pkg.Files)
-				for _, a := range analysis.All() {
-					pass := blobvet.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-					if err := a.Run(pass); err != nil {
-						return fmt.Errorf("%s: %w", a.Name, err)
-					}
-					for _, d := range pass.Diagnostics() {
-						if d.Severity == blobvet.SevError {
-							return fmt.Errorf("%s: unexpected error finding: %s", a.Name, d.Message)
-						}
-					}
+				diags, err := blobvet.Analyze(pkg, analysis.All())
+				if err != nil {
+					return err
+				}
+				if len(diags) > 0 {
+					return fmt.Errorf("%s: unexpected finding: %s", diags[0].Analyzer, diags[0].Message)
 				}
 				return nil
 			}

@@ -104,18 +104,28 @@ func newCheckpointWriter(sys systems.System, pt ProblemType, prec Precision, cfg
 }
 
 // load returns the checkpoint to resume from, or nil when there is none.
-// A file bound to a different key (corruption, a hash collision), or one
-// whose progress this sweep could not have written, is ignored rather
-// than trusted, and the sweep starts from scratch.
 func (w *checkpointWriter) load(pt ProblemType, cfg Config) *Checkpoint {
 	if w == nil {
 		return nil
 	}
-	cp, err := LoadCheckpoint(w.path)
-	if err != nil || cp.Key != w.key || !cp.prefixOf(pt, cfg) {
+	data, err := os.ReadFile(w.path)
+	if err != nil {
 		return nil
 	}
-	return cp
+	return w.accept(data, pt, cfg)
+}
+
+// accept decodes a checkpoint file's bytes and returns the progress to
+// resume from. A file bound to a different key (corruption, a hash
+// collision), or one whose progress this sweep could not have written,
+// yields nil: it is ignored rather than trusted, and the sweep starts
+// from scratch.
+func (w *checkpointWriter) accept(data []byte, pt ProblemType, cfg Config) *Checkpoint {
+	var cp Checkpoint
+	if json.Unmarshal(data, &cp) != nil || cp.Key != w.key || !cp.prefixOf(pt, cfg) {
+		return nil
+	}
+	return &cp
 }
 
 // prefixOf reports whether cp is progress the sweep of pt under cfg

@@ -130,12 +130,13 @@ func TestCheckpointRejectsForeignProgress(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointResume feeds arbitrary bytes to a checkpointing sweep
-// as its own checkpoint file. A JSON object also gets the sweep's key,
-// so the fuzzer reaches the progress checks instead of stopping at the
-// key. The sweep must never panic or hang, and whatever it resumes or
-// discards, it must finish with exactly the sizes of an uninterrupted
-// sweep.
+// FuzzCheckpointResume feeds arbitrary bytes to the checkpoint parser
+// and prefix check of a checkpointing sweep. A JSON object also gets the
+// sweep's key, so the fuzzer reaches the progress checks instead of
+// stopping at the key. Neither may panic or hang. Bytes they reject make
+// the sweep start from scratch; only bytes they accept are resumed,
+// through the whole sweep, which must finish with exactly the sizes of an
+// uninterrupted sweep and leave no checkpoint file behind.
 func FuzzCheckpointResume(f *testing.F) {
 	data, err := os.ReadFile(fixtureCheckpoint)
 	if err != nil {
@@ -153,23 +154,26 @@ func FuzzCheckpointResume(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	key, err := CheckpointKey(sys, pt, F32, cfg)
+	w, err := newCheckpointWriter(sys, pt, F32, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	keyJSON, _ := json.Marshal(key)
+	keyJSON, _ := json.Marshal(w.key)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var obj map[string]json.RawMessage
 		if json.Unmarshal(data, &obj) == nil && obj != nil {
 			obj["key"] = keyJSON
 			data, _ = json.Marshal(obj)
 		}
+		if w.accept(data, pt, cfg) == nil {
+			return
+		}
 		cfg := cfg
 		cfg.Resilience.CheckpointDir = t.TempDir()
 		placeCheckpoint(t, sys, pt, cfg, data)
 		ser, err := RunProblem(context.Background(), sys, pt, F32, cfg)
 		if err != nil {
-			t.Fatalf("sweep failed over a bad checkpoint: %v", err)
+			t.Fatalf("sweep failed resuming an accepted checkpoint: %v", err)
 		}
 		if len(ser.Samples) != len(clean.Samples) {
 			t.Fatalf("%d samples, want %d", len(ser.Samples), len(clean.Samples))

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -41,6 +42,14 @@ func (p Precision) String() string {
 	return "D"
 }
 
+// The sentinels the parse boundary wraps: ParsePrecision, ParseKernelKind
+// and FindProblem each name the rejected token after them.
+var (
+	ErrUnknownPrecision = errors.New("core: unknown precision")
+	ErrUnknownKernel    = errors.New("core: unknown kernel")
+	ErrUnknownProblem   = errors.New("problem type")
+)
+
 // ParsePrecision converts a CLI/CSV/JSON token into a Precision. It is
 // the single parse boundary shared by the advisor's trace reader and the
 // service's request decoding, so every surface accepts the same spellings.
@@ -51,7 +60,7 @@ func ParsePrecision(s string) (Precision, error) {
 	case "f64", "d", "double", "fp64", "float64":
 		return F64, nil
 	}
-	return 0, fmt.Errorf("core: unknown precision %q", s)
+	return 0, fmt.Errorf("%w %q", ErrUnknownPrecision, s)
 }
 
 // KernelKind identifies a BLAS kernel family.
@@ -85,7 +94,7 @@ func ParseKernelKind(s string) (KernelKind, error) {
 	case "gemv":
 		return GEMV, nil
 	}
-	return 0, fmt.Errorf("core: unknown kernel %q", s)
+	return 0, fmt.Errorf("%w %q", ErrUnknownKernel, s)
 }
 
 // KernelName returns e.g. "SGEMM" for (F32, GEMM).
@@ -209,7 +218,7 @@ func FindProblem(kernel KernelKind, name string) (ProblemType, error) {
 			return pt, nil
 		}
 	}
-	return ProblemType{}, fmt.Errorf("core: unknown %v problem type %q", kernel, name)
+	return ProblemType{}, fmt.Errorf("core: unknown %v %w %q", kernel, ErrUnknownProblem, name)
 }
 
 // AllProblems returns the full registry: 9 GEMM + 5 GEMV types, which with

@@ -69,6 +69,10 @@ func (m ModelKind) String() string {
 // instead of string-matching.
 var ErrUnknownModel = errors.New("core: unknown model")
 
+// ErrNoDims is the sentinel RunProblem wraps when a problem type has no
+// Dims function to size its sweep.
+var ErrNoDims = errors.New("has no Dims function")
+
 // ParseModelKind resolves a -model CLI token.
 func ParseModelKind(s string) (ModelKind, error) {
 	switch s {
@@ -309,7 +313,7 @@ func RunProblem(ctx context.Context, sys systems.System, pt ProblemType, prec Pr
 		return nil, err
 	}
 	if pt.Dims == nil {
-		return nil, fmt.Errorf("core: problem type %q has no Dims function", pt.Name)
+		return nil, fmt.Errorf("core: problem type %q %w", pt.Name, ErrNoDims)
 	}
 	if cfg.Model == ModelBlackbox {
 		// sys is a value: arming the models' table pointers here is local
@@ -341,6 +345,7 @@ func RunProblem(ctx context.Context, sys systems.System, pt ProblemType, prec Pr
 		if cp := ckpt.load(pt, cfg); cp != nil {
 			ser.Samples = cp.Samples
 			if cfg.Mode == ModeBoth {
+				//blobvet:allow ctxflow -- replays a restored checkpoint prefix through the detectors: arithmetic over samples already in memory, no backend call to cancel
 				for i := range ser.Samples {
 					smp := &ser.Samples[i]
 					for _, st := range xfer.Strategies {
@@ -439,6 +444,7 @@ func RunProblem(ctx context.Context, sys systems.System, pt ProblemType, prec Pr
 		}
 	}
 	if cfg.Mode == ModeBoth {
+		//blobvet:allow ctxflow -- three iterations over xfer.Strategies reading finished detectors
 		for _, st := range xfer.Strategies {
 			dims, found := dets[st].Threshold()
 			ser.Thresholds[st] = Threshold{Dims: dims, Found: found}

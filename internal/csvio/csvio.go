@@ -11,6 +11,7 @@ package csvio
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -220,6 +221,10 @@ func parseRow(rec []string) (Row, error) {
 	return r, nil
 }
 
+// ErrUnknownDevice is the sentinel Thresholds wraps for a row whose
+// device is neither CPU nor GPU.
+var ErrUnknownDevice = errors.New("csvio: unknown device")
+
 // Thresholds recomputes the per-strategy offload thresholds from raw rows,
 // exactly as blob-threshold does for LUMI-style split runs. Rows may mix
 // CPU and GPU entries in any order; they are joined on (m, n, k) and
@@ -249,7 +254,7 @@ func Thresholds(rows []Row) (map[string]core.Threshold, error) {
 			}
 			gpu[r.Strategy][k] = r.Seconds
 		default:
-			return nil, fmt.Errorf("csvio: unknown device %q", r.Device)
+			return nil, fmt.Errorf("%w %q", ErrUnknownDevice, r.Device)
 		}
 	}
 	out := map[string]core.Threshold{}

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -72,6 +73,9 @@ var Registry = []Experiment{
 	{ID: "perfstat", Title: "§IV-B evidence: effective CPUs used by AOCL GEMV vs GEMM", Run: PerfStat},
 }
 
+// ErrUnknownID is the sentinel ByID wraps for an unregistered id.
+var ErrUnknownID = errors.New("experiments: unknown id")
+
 // ByID resolves an experiment.
 func ByID(id string) (Experiment, error) {
 	for _, e := range Registry {
@@ -84,7 +88,7 @@ func ByID(id string) (Experiment, error) {
 		ids[i] = e.ID
 	}
 	sort.Strings(ids)
-	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
+	return Experiment{}, fmt.Errorf("%w %q (have %v)", ErrUnknownID, id, ids)
 }
 
 // RunAll executes every registered experiment in order.

@@ -26,6 +26,7 @@
 package faultinject
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -88,6 +89,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// The plan-schema sentinels: ParseKind wraps ErrUnknownKind, Kind's
+// MarshalJSON wraps ErrMarshalKind, and Validate wraps ErrBadRule with the
+// rule's index and what is wrong with it.
+var (
+	ErrUnknownKind = errors.New("faultinject: unknown fault kind")
+	ErrMarshalKind = errors.New("faultinject: cannot marshal")
+	ErrBadRule     = errors.New("faultinject: rule")
+)
+
 // ParseKind converts a plan-schema token into a Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
@@ -100,7 +110,7 @@ func ParseKind(s string) (Kind, error) {
 	case "panic":
 		return PanicKind, nil
 	}
-	return 0, fmt.Errorf("faultinject: unknown fault kind %q", s)
+	return 0, fmt.Errorf("%w %q", ErrUnknownKind, s)
 }
 
 // Rule arms one fault at a set of sites. A zero field matches everything
@@ -162,16 +172,16 @@ func (p *Plan) Validate() error {
 	for i := range p.Rules {
 		r := &p.Rules[i]
 		if r.Probability < 0 || r.Probability > 1 {
-			return fmt.Errorf("faultinject: rule %d: probability %v outside [0,1]", i, r.Probability)
+			return fmt.Errorf("%w %d: probability %v outside [0,1]", ErrBadRule, i, r.Probability)
 		}
 		if r.MaxDim > 0 && r.MaxDim < r.MinDim {
-			return fmt.Errorf("faultinject: rule %d: max_dim %d < min_dim %d", i, r.MaxDim, r.MinDim)
+			return fmt.Errorf("%w %d: max_dim %d < min_dim %d", ErrBadRule, i, r.MaxDim, r.MinDim)
 		}
 		if r.Kind == Latency && r.LatencySeconds < 0 {
-			return fmt.Errorf("faultinject: rule %d: negative latency_seconds", i)
+			return fmt.Errorf("%w %d: negative latency_seconds", ErrBadRule, i)
 		}
 		if r.Kind != Latency && r.LatencySeconds != 0 {
-			return fmt.Errorf("faultinject: rule %d: latency_seconds set on a %v rule", i, r.Kind)
+			return fmt.Errorf("%w %d: latency_seconds set on a %v rule", ErrBadRule, i, r.Kind)
 		}
 	}
 	return nil

@@ -29,7 +29,7 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	case Transient, Hard, Latency, PanicKind:
 		return json.Marshal(k.String())
 	}
-	return nil, fmt.Errorf("faultinject: cannot marshal %v", k)
+	return nil, fmt.Errorf("%w %v", ErrMarshalKind, k)
 }
 
 // UnmarshalJSON parses the schema name back into a Kind.

@@ -471,6 +471,7 @@ func (s *Server) runSweep(ctx context.Context, plan thresholdPlan) (ThresholdRes
 	if plan.cfg.Model == core.ModelBlackbox {
 		resp.Model = plan.cfg.Model.String()
 	}
+	//blobvet:allow ctxflow -- three iterations over xfer.Strategies rendering a finished sweep's verdicts
 	for _, st := range xfer.Strategies {
 		th := ser.Thresholds[st]
 		body := ThresholdBody{Found: th.Found, Notation: th.String()}

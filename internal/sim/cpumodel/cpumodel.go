@@ -381,7 +381,7 @@ func (mo *Model) TimeGemm(elemSize, m, n, k int, beta0 bool, iters int) (float64
 	if mo.Inject != nil {
 		var err error
 		extra, err = mo.Inject.At(faultinject.Site{
-			Backend: faultinject.BackendCPU, Kernel: "gemm", Dim: maxDim3(m, n, k),
+			Backend: faultinject.BackendCPU, Kernel: "gemm", Dim: max(m, n, k),
 		})
 		if err != nil {
 			return 0, err
@@ -397,26 +397,13 @@ func (mo *Model) TimeGemv(elemSize, m, n int, beta0 bool, iters int) (float64, e
 	if mo.Inject != nil {
 		var err error
 		extra, err = mo.Inject.At(faultinject.Site{
-			Backend: faultinject.BackendCPU, Kernel: "gemv", Dim: maxDim3(m, n, 0),
+			Backend: faultinject.BackendCPU, Kernel: "gemv", Dim: max(m, n, 0),
 		})
 		if err != nil {
 			return 0, err
 		}
 	}
 	return mo.GemvSeconds(elemSize, m, n, beta0, iters) + extra, nil
-}
-
-// maxDim3 is the characteristic dimension a fault rule's size range keys
-// on: the largest of the call's dimensions.
-func maxDim3(m, n, k int) int {
-	d := m
-	if n > d {
-		d = n
-	}
-	if k > d {
-		d = k
-	}
-	return d
 }
 
 // EffectiveCPUs reports the average number of CPUs a long run of the kernel

@@ -298,13 +298,13 @@ func (g *Model) GemvSeconds(s xfer.Strategy, elemSize, m, n int, beta0 bool, ite
 // Kernel "gemm", Dim max(m,n,k)). The plain GemmSeconds signature stays
 // for calibration code that never injects.
 func (g *Model) TimeGemm(s xfer.Strategy, elemSize, m, n, k int, beta0 bool, iters int) (float64, error) {
-	return g.Time(g.GemmBreakdown(elemSize, m, n, k, beta0, iters), s, "gemm", maxDim3(m, n, k))
+	return g.Time(g.GemmBreakdown(elemSize, m, n, k, beta0, iters), s, "gemm", max(m, n, k))
 }
 
 // TimeGemv is GemvSeconds behind the fault-injection point (see Time;
 // Kernel "gemv", Dim max(m,n)).
 func (g *Model) TimeGemv(s xfer.Strategy, elemSize, m, n int, beta0 bool, iters int) (float64, error) {
-	return g.Time(g.GemvBreakdown(elemSize, m, n, beta0, iters), s, "gemv", maxDim3(m, n, 0))
+	return g.Time(g.GemvBreakdown(elemSize, m, n, beta0, iters), s, "gemv", max(m, n, 0))
 }
 
 // consult asks the injection point about the device-kernel site and the
@@ -329,19 +329,6 @@ func (g *Model) consult(s xfer.Strategy, kernel string, dim int) (float64, error
 		return 0, err
 	}
 	return extra + moveExtra, nil
-}
-
-// maxDim3 is the characteristic dimension a fault rule's size range keys
-// on: the largest of the call's dimensions.
-func maxDim3(m, n, k int) int {
-	d := m
-	if n > d {
-		d = n
-	}
-	if k > d {
-		d = k
-	}
-	return d
 }
 
 // GemmGFLOPS returns modeled GFLOP/s including transfer time, the quantity

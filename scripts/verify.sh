@@ -19,10 +19,9 @@
 #   5. blob-vet      — this repo's own analyzers (see internal/analysis):
 #                      kernelargcheck, floatcompare, goroutinehygiene,
 #                      determinism, pkgdoc, ctxflow, locksafety,
-#                      hotalloc, errcontract. Error findings and
-#                      unbaselined warns fail the gate; the run also
-#                      writes blobvet.sarif (SARIF 2.1.0) as a CI
-#                      artifact for code-scanning renderers
+#                      hotalloc, errcontract. Every finding fails the
+#                      gate; a deliberate exception is suppressed only
+#                      by a justified //blobvet:allow in source
 #   6. go test       — full test suite, shuffled (-shuffle=on with a
 #                      fixed seed, so inter-test ordering dependencies
 #                      surface deterministically; includes the blob-vet
@@ -47,7 +46,7 @@
 #   9. fuzz smoke    — 10s of native fuzzing per untrusted-input parser:
 #                      the advisor trace CSV, the fault-plan JSON, the
 #                      config hash that keys the service cache, the
-#                      strict blob-vet baseline/report JSON parser, the
+#                      sweep checkpoint parser and prefix check, the
 #                      cluster membership wire messages + threshold
 #                      route key (DESIGN.md §16), the v1 request bodies
 #                      and headers of /v1/advise, /v1/threshold and
@@ -134,7 +133,7 @@ GOOS=linux GOARCH=arm64 go build ./... && GOOS=linux GOARCH=arm64 go vet ./inter
 end
 
 begin "blob-vet"
-go run ./cmd/blob-vet -sarif-out blobvet.sarif ./...
+go run ./cmd/blob-vet ./...
 end
 
 begin "go test (-shuffle=on)"
@@ -158,7 +157,6 @@ go test -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime=10s ./internal/advisor/
 go test -run='^$' -fuzz='^FuzzPlanJSON$' -fuzztime=10s ./internal/faultinject/
 go test -run='^$' -fuzz='^FuzzConfigHash$' -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz='^FuzzCheckpointResume$' -fuzztime=10s ./internal/core/
-go test -run='^$' -fuzz='^FuzzBaselineJSON$' -fuzztime=10s ./internal/analysis/blobvet/
 go test -run='^$' -fuzz='^FuzzClusterWire$' -fuzztime=10s ./internal/cluster/
 go test -run='^$' -fuzz='^FuzzV1Body$' -fuzztime=10s ./internal/service/
 go test -run='^$' -fuzz='^FuzzNetfaultPlan$' -fuzztime=10s ./internal/netfault/
@@ -183,4 +181,4 @@ go test -race -count=1 -run 'TestChaos|TestCheckpoint|TestThresholdUnderChaosPla
 	./internal/core/ ./internal/service/
 end
 
-echo "verify: all gates passed in ${SECONDS}s (sarif artifact: blobvet.sarif)"
+echo "verify: all gates passed in ${SECONDS}s"
