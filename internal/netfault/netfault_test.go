@@ -70,6 +70,25 @@ func TestGoldenFaultSequence(t *testing.T) {
 	}
 }
 
+// TestGoldenLatencyJitter pins what the kind-only golden cannot see: the
+// jitter draw each firing latency rule takes from the same seeded stream,
+// and the per-kind counts the injector reports afterwards.
+func TestGoldenLatencyJitter(t *testing.T) {
+	const want = "0:10.264001ms 2:11.532773ms 4:12.585505ms 8:10.484952ms 14:12.610248ms 18:12.886848ms 20:13.893919ms 22:12.508976ms" +
+		" | {Evaluations:24 Matches:37 Fired:[8 0 3 0 4 0]}"
+	in := goldenPlan().Arm()
+	var got []string
+	for i := 0; i < 24; i++ {
+		peer := []string{"n1", "n2"}[i%2]
+		if f := in.At(peer, "/v1/threshold"); f != nil && f.Kind == Latency {
+			got = append(got, fmt.Sprintf("%d:%v", f.Index, f.Latency))
+		}
+	}
+	if s := strings.Join(got, " ") + fmt.Sprintf(" | %+v", in.Stats()); s != want {
+		t.Fatalf("golden latency stream changed:\n got %s\nwant %s", s, want)
+	}
+}
+
 func TestPlanParseRoundTrip(t *testing.T) {
 	p := goldenPlan()
 	data, err := p.Marshal()
