@@ -24,12 +24,14 @@
 // concurrency-bearing packages.
 //
 // Exit status: 0 clean, 1 findings reported, 2 operational error (an
-// unknown -only name, patterns that match no package, a load failure).
+// unknown -only name, patterns that match no package, a load failure, a
+// type error).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -69,18 +71,33 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
 		return 2
 	}
-	findings, err := blobvet.Vet(wd, *tests, suite, func(pkg string, err error) {
-		fmt.Fprintf(os.Stderr, "blob-vet: %s: type error: %v\n", pkg, err)
-	}, flag.Args()...)
+	return vet(wd, *tests, suite, flag.Args(), os.Stdout, os.Stderr)
+}
+
+// vet analyzes the packages of the module at root that match patterns,
+// prints findings to stdout and problems to stderr, and returns the exit
+// status. A type error is an operational error like a load failure: the
+// analyzers saw an incompletely checked package, so a run without
+// findings is not clean.
+func vet(root string, tests bool, suite []*blobvet.Analyzer, patterns []string, stdout, stderr io.Writer) int {
+	typeErrs := 0
+	findings, err := blobvet.Vet(root, tests, suite, func(pkg string, err error) {
+		typeErrs++
+		fmt.Fprintf(stderr, "blob-vet: %s: type error: %v\n", pkg, err)
+	}, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "blob-vet: %v\n", err)
+		fmt.Fprintf(stderr, "blob-vet: %v\n", err)
 		return 2
 	}
 	for _, f := range findings {
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "blob-vet: %d issue(s)\n", len(findings))
+	switch {
+	case typeErrs > 0:
+		fmt.Fprintf(stderr, "blob-vet: %d type error(s)\n", typeErrs)
+		return 2
+	case len(findings) > 0:
+		fmt.Fprintf(stderr, "blob-vet: %d issue(s)\n", len(findings))
 		return 1
 	}
 	return 0

@@ -113,6 +113,8 @@ func TestErrorSitesKeepTheirText(t *testing.T) {
 		{"faultinject latency on hard", func() error {
 			return rule(faultinject.Rule{Kind: faultinject.Hard, LatencySeconds: 1})
 		}, faultinject.ErrBadRule, "faultinject: rule 0: latency_seconds set on a hard rule"},
+		{"faultinject trailing data", func() error { _, err := faultinject.ParsePlan([]byte(`{"rules": []} {}`)); return err },
+			faultinject.ErrBadPlan, "faultinject: bad plan: trailing data after plan"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,8 +3,8 @@
 // rules — each keyed by backend ("cpu", "gpu", "xfer", "usm", "service"),
 // kernel and problem-size range, with a per-site firing probability — that
 // an armed Injector evaluates at well-defined injection points inside the
-// simulated backends (internal/sim/cpumodel, gpumodel, xfer, usm) and the
-// serving layer.
+// simulated backends (internal/sim/cpumodel, and gpumodel for its kernel
+// and its xfer or usm movement sites) and the serving layer.
 //
 // Four fault kinds cover the failure modes a real offload runtime sees:
 //
@@ -20,17 +20,17 @@
 // Determinism is the point: the Injector consumes a private seeded PRNG in
 // call order, so a single-goroutine sweep under a given plan fails at
 // exactly the same sites on every run — a chaos test is as replayable as a
-// unit test. When no plan is armed the injection point is a nil-interface
-// check: zero allocations, zero locked sections, effectively zero cost
-// (proved by a benchmark-suite case and an allocation test).
+// unit test. The PRNG, the hit budgets and the first-firing-rule loop live
+// in this package's Engine (engine.go), which internal/netfault's
+// wire-level injector shares; Injector is the (backend, kernel, dim) site
+// adapter over it. When no plan is armed the injection point is a
+// nil-interface check: zero allocations, zero locked sections, effectively
+// zero cost (proved by a benchmark-suite case and an allocation test).
 package faultinject
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // Backend names used by the repository's injection sites. Site.Backend is
@@ -74,41 +74,34 @@ const (
 	PanicKind
 )
 
+// kindNames are the plan-schema spellings, indexed by Kind.
+var kindNames = [...]string{Transient: "transient", Hard: "hard", Latency: "latency", PanicKind: "panic"}
+
 // String returns the plan-schema spelling of the kind.
 func (k Kind) String() string {
-	switch k {
-	case Transient:
-		return "transient"
-	case Hard:
-		return "hard"
-	case Latency:
-		return "latency"
-	case PanicKind:
-		return "panic"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // The plan-schema sentinels: ParseKind wraps ErrUnknownKind, Kind's
-// MarshalJSON wraps ErrMarshalKind, and Validate wraps ErrBadRule with the
-// rule's index and what is wrong with it.
+// MarshalJSON wraps ErrMarshalKind, Validate wraps ErrBadRule with the
+// rule's index and what is wrong with it, and ParsePlan wraps ErrBadPlan
+// when data follows the plan.
 var (
 	ErrUnknownKind = errors.New("faultinject: unknown fault kind")
 	ErrMarshalKind = errors.New("faultinject: cannot marshal")
 	ErrBadRule     = errors.New("faultinject: rule")
+	ErrBadPlan     = errors.New("faultinject: bad plan")
 )
 
 // ParseKind converts a plan-schema token into a Kind.
 func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "transient":
-		return Transient, nil
-	case "hard":
-		return Hard, nil
-	case "latency":
-		return Latency, nil
-	case "panic":
-		return PanicKind, nil
+	for k, name := range kindNames {
+		if s == name {
+			return Kind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("%w %q", ErrUnknownKind, s)
 }
@@ -137,23 +130,6 @@ type Rule struct {
 	// MaxHits bounds how many times the rule may fire (0 = unlimited) —
 	// "the device dropped off the bus once" is MaxHits 1.
 	MaxHits int `json:"max_hits,omitempty"`
-}
-
-// matches reports whether the rule covers the site.
-func (r *Rule) matches(s Site) bool {
-	if r.Backend != "" && r.Backend != s.Backend {
-		return false
-	}
-	if r.Kernel != "" && r.Kernel != s.Kernel {
-		return false
-	}
-	if s.Dim < r.MinDim {
-		return false
-	}
-	if r.MaxDim > 0 && s.Dim > r.MaxDim {
-		return false
-	}
-	return true
 }
 
 // Plan is a complete, replayable fault schedule: a seed plus rules. Plans
@@ -242,17 +218,7 @@ type Stats struct {
 // fault sequence is a single deterministic stream.
 type Injector struct {
 	rules []Rule
-
-	mu   sync.Mutex
-	rng  *rand.Rand
-	hits []int // per-rule fire counts, for MaxHits
-
-	evals     atomic.Uint64
-	matches   atomic.Uint64
-	transient atomic.Uint64
-	hard      atomic.Uint64
-	latency   atomic.Uint64
-	panics    atomic.Uint64
+	eng   *Engine
 }
 
 // Arm builds a live Injector from the plan. The injector owns a private
@@ -261,71 +227,50 @@ type Injector struct {
 func (p *Plan) Arm() *Injector {
 	rules := make([]Rule, len(p.Rules))
 	copy(rules, p.Rules)
-	return &Injector{
-		rules: rules,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		hits:  make([]int, len(rules)),
+	sels := make([]Selector, len(rules))
+	for i, r := range rules {
+		sels[i] = Selector{Key1: r.Backend, Key2: r.Kernel, Min: r.MinDim, Max: r.MaxDim,
+			Probability: r.Probability, MaxHits: r.MaxHits}
 	}
+	return &Injector{rules: rules, eng: NewEngine(p.Seed, sels)}
 }
 
-// At evaluates the plan at one site. The common case — no rule matches —
-// touches no locks and allocates nothing.
+// At evaluates the plan at one site and produces the first firing rule's
+// fault. The common case — no rule matches — touches no locks and
+// allocates nothing.
 func (in *Injector) At(site Site) (float64, error) {
-	seq := in.evals.Add(1)
-	for i := range in.rules {
-		r := &in.rules[i]
-		if !r.matches(site) {
-			continue
-		}
-		in.matches.Add(1)
-		if extra, err, fired := in.fire(i, r, site, seq); fired {
-			return extra, err
-		}
+	seq := in.eng.Next()
+	i, _ := in.eng.Fire(site.Backend, site.Kernel, site.Dim)
+	if i < 0 {
+		return 0, nil
 	}
-	return 0, nil
-}
-
-// fire draws the rule's probability and, when it fires, produces the
-// fault. The PRNG draw sits under the mutex so concurrent consumers see a
-// serialized (and therefore replayable-per-order) stream.
-func (in *Injector) fire(i int, r *Rule, site Site, seq uint64) (float64, error, bool) {
-	in.mu.Lock()
-	if r.MaxHits > 0 && in.hits[i] >= r.MaxHits {
-		in.mu.Unlock()
-		return 0, nil, false
-	}
-	fired := r.Probability >= 1 || in.rng.Float64() < r.Probability
-	if fired {
-		in.hits[i]++
-	}
-	in.mu.Unlock()
-	if !fired {
-		return 0, nil, false
-	}
-	switch r.Kind {
+	switch r := &in.rules[i]; r.Kind {
 	case Latency:
-		in.latency.Add(1)
-		return r.LatencySeconds, nil, true
+		return r.LatencySeconds, nil
 	case PanicKind:
-		in.panics.Add(1)
 		panic(&PanicFault{Site: site, Seq: seq})
 	case Hard:
-		in.hard.Add(1)
-		return 0, &Error{Site: site, Kind: Hard, Seq: seq}, true
+		return 0, &Error{Site: site, Kind: Hard, Seq: seq}
 	default:
-		in.transient.Add(1)
-		return 0, &Error{Site: site, Kind: Transient, Seq: seq}, true
+		return 0, &Error{Site: site, Kind: Transient, Seq: seq}
 	}
 }
 
 // Stats snapshots the injector's counters.
 func (in *Injector) Stats() Stats {
-	return Stats{
-		Evaluations: in.evals.Load(),
-		Matches:     in.matches.Load(),
-		Transients:  in.transient.Load(),
-		Hards:       in.hard.Load(),
-		Latencies:   in.latency.Load(),
-		Panics:      in.panics.Load(),
+	evals, matches, fired := in.eng.Counts()
+	s := Stats{Evaluations: evals, Matches: matches}
+	for i, n := range fired {
+		switch in.rules[i].Kind {
+		case Latency:
+			s.Latencies += n
+		case PanicKind:
+			s.Panics += n
+		case Hard:
+			s.Hards += n
+		default:
+			s.Transients += n
+		}
 	}
+	return s
 }

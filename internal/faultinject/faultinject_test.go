@@ -7,7 +7,8 @@ import (
 )
 
 // TestRuleMatching: backend/kernel/size-range selectors behave as
-// documented, including the zero-value-matches-anything convention.
+// documented, including the zero-value-matches-anything convention. Each
+// rule is armed to always fire, so it fires exactly where it matches.
 func TestRuleMatching(t *testing.T) {
 	cases := []struct {
 		name string
@@ -27,7 +28,10 @@ func TestRuleMatching(t *testing.T) {
 		{"zero max_dim is unbounded", Rule{MinDim: 1}, Site{Dim: 1 << 30}, true},
 	}
 	for _, tc := range cases {
-		if got := tc.rule.matches(tc.site); got != tc.want {
+		r := tc.rule
+		r.Probability = 1
+		_, err := (&Plan{Rules: []Rule{r}}).Arm().At(tc.site)
+		if got := err != nil; got != tc.want {
 			t.Errorf("%s: matches=%v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -185,5 +189,23 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePlan([]byte(`{"rules":[{"probability":0.5,"kind":"hard","latency_seconds":1}]}`)); err == nil {
 		t.Error("latency_seconds on a hard rule accepted")
+	}
+}
+
+// TestParsePlanRejectsTrailingData: a plan file holds exactly one plan.
+// A second plan after the first, or any other trailing bytes, must fail
+// loudly instead of being dropped.
+func TestParsePlanRejectsTrailingData(t *testing.T) {
+	for name, body := range map[string]string{
+		"second plan": `{"seed": 1, "rules": []} {"seed": 2, "rules": [{"probability": 1, "kind": "hard"}]}`,
+		"garbage":     `{"seed": 1, "rules": []} garbage`,
+		"stray brace": `{"seed": 1, "rules": []} }`,
+	} {
+		if p, err := ParsePlan([]byte(body)); !errors.Is(err, ErrBadPlan) {
+			t.Errorf("%s: ParsePlan(%s) = %+v, %v; want ErrBadPlan", name, body, p, err)
+		}
+	}
+	if _, err := ParsePlan([]byte("{\"seed\": 1, \"rules\": []}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

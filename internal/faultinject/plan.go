@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -46,37 +47,65 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ParsePlan decodes and validates a plan from its JSON form. Unknown
-// fields are rejected so a typo'd rule key fails loudly instead of
-// silently matching everything.
-func ParsePlan(data []byte) (*Plan, error) {
-	var p Plan
+// ParsePlan decodes and validates a plan from its JSON form (see Codec).
+func ParsePlan(data []byte) (*Plan, error) { return planCodec.Parse(data) }
+
+// LoadPlan reads and parses a plan file.
+func LoadPlan(path string) (*Plan, error) { return planCodec.Load(path) }
+
+// Marshal renders the plan as indented JSON, the inverse of ParsePlan.
+func (p *Plan) Marshal() ([]byte, error) { return planCodec.Marshal(p) }
+
+var planCodec = Codec[Plan, *Plan]{Pkg: "faultinject", Bad: ErrBadPlan}
+
+// Codec is the strict JSON wire form both fault-plan schemas share. A
+// plan file holds exactly one JSON object: unknown fields are rejected so
+// a typo'd rule key fails loudly instead of silently matching everything,
+// trailing data is rejected so a second plan pasted into the file cannot
+// be dropped unseen, and a plan is validated before it is accepted or
+// written.
+type Codec[P any, PP interface {
+	*P
+	Validate() error
+}] struct {
+	// Pkg prefixes decode and read errors ("faultinject", "netfault").
+	Pkg string
+	// Bad is the sentinel a trailing-data rejection wraps.
+	Bad error
+}
+
+// Parse decodes and validates one plan.
+func (c Codec[P, PP]) Parse(data []byte) (*P, error) {
+	p := PP(new(P))
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("faultinject: invalid plan: %w", err)
+	if err := dec.Decode(p); err != nil {
+		return nil, fmt.Errorf("%s: invalid plan: %w", c.Pkg, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after plan", c.Bad)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return p, nil
 }
 
-// LoadPlan reads and parses a plan file.
-func LoadPlan(path string) (*Plan, error) {
+// Load reads and parses a plan file.
+func (c Codec[P, PP]) Load(path string) (*P, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("faultinject: reading plan: %w", err)
+		return nil, fmt.Errorf("%s: reading plan: %w", c.Pkg, err)
 	}
-	p, err := ParsePlan(data)
+	p, err := c.Parse(data)
 	if err != nil {
-		return nil, fmt.Errorf("faultinject: %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %s: %w", c.Pkg, path, err)
 	}
 	return p, nil
 }
 
-// Marshal renders the plan as indented JSON, the inverse of ParsePlan.
-func (p *Plan) Marshal() ([]byte, error) {
+// Marshal validates the plan and renders it as indented JSON.
+func (c Codec[P, PP]) Marshal(p PP) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

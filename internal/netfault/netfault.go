@@ -1,9 +1,10 @@
 // Package netfault is the deterministic network-fault layer: the wire-level
-// sibling of internal/faultinject, one layer up the stack. Where faultinject
-// perturbs the simulated BLAS backends, netfault perturbs the HTTP traffic
-// between cluster members — an http.RoundTripper wrapper for the client side
-// and net.Listener / net.Conn wrappers for the server side — driven by
-// seeded, replayable JSON fault plans (schema "netfault/v1").
+// site adapter over internal/faultinject's seeded rule engine, one layer up
+// the stack. Where faultinject perturbs the simulated BLAS backends,
+// netfault perturbs the HTTP traffic between cluster members — an
+// http.RoundTripper wrapper for the client side and net.Listener /
+// net.Conn wrappers for the server side — driven by seeded, replayable
+// JSON fault plans (schema "netfault/v1").
 //
 // A plan's rules are keyed by (peer, route, request-index window), so a
 // schedule like "partition replica n1 for attempts 40–80, heal, then flap it
@@ -24,21 +25,20 @@
 //   - corrupt: bit-flip the response body payload, which strict envelope
 //     decoding (and the content-length check) must catch.
 //
-// Determinism is the point, exactly as in faultinject: the Injector draws
-// from a private seeded PRNG in evaluation order, so a sequential request
-// schedule under a given plan faults at the same indices on every run (the
-// golden test pins this). When no injector is armed, the wrappers are a
-// single nil comparison on the hot path: zero allocations, zero locks,
-// benchmarked in netfault_test.go.
+// Determinism is the point, and the engine is faultinject's own: the
+// Injector draws from a private seeded PRNG in evaluation order, so a
+// sequential request schedule under a given plan faults at the same indices
+// on every run (the golden tests pin this). When no injector is armed, the
+// wrappers are a single nil comparison on the hot path: zero allocations,
+// zero locks, benchmarked in netfault_test.go.
 package netfault
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/faultinject"
 )
 
 // ErrBadPlan is the sentinel wrapped by every plan-shape rejection
@@ -61,40 +61,26 @@ const (
 	numKinds
 )
 
+// kindNames are the plan-schema spellings, indexed by Kind.
+var kindNames = [numKinds]string{
+	Latency: "latency", Reset: "reset", Blackhole: "blackhole",
+	SlowLoris: "slowloris", Truncate: "truncate", Corrupt: "corrupt",
+}
+
 // String returns the plan-schema spelling of the kind.
 func (k Kind) String() string {
-	switch k {
-	case Latency:
-		return "latency"
-	case Reset:
-		return "reset"
-	case Blackhole:
-		return "blackhole"
-	case SlowLoris:
-		return "slowloris"
-	case Truncate:
-		return "truncate"
-	case Corrupt:
-		return "corrupt"
+	if k >= 0 && k < numKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind converts a plan-schema token into a Kind.
 func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "latency":
-		return Latency, nil
-	case "reset":
-		return Reset, nil
-	case "blackhole":
-		return Blackhole, nil
-	case "slowloris":
-		return SlowLoris, nil
-	case "truncate":
-		return Truncate, nil
-	case "corrupt":
-		return Corrupt, nil
+	for k, name := range kindNames {
+		if s == name {
+			return Kind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("%w: unknown fault kind %q", ErrBadPlan, s)
 }
@@ -140,23 +126,6 @@ type Rule struct {
 	ChunkDelayMs float64 `json:"chunk_delay_ms,omitempty"`
 	// MaxHits bounds how many times the rule may fire (0 = unlimited).
 	MaxHits int `json:"max_hits,omitempty"`
-}
-
-// matches reports whether the rule covers one (peer, route, index) triple.
-func (r *Rule) matches(peer, route string, index int) bool {
-	if r.Peer != "" && r.Peer != peer {
-		return false
-	}
-	if r.Route != "" && r.Route != route {
-		return false
-	}
-	if index < r.MinIndex {
-		return false
-	}
-	if r.MaxIndex > 0 && index > r.MaxIndex {
-		return false
-	}
-	return true
 }
 
 // validate checks one rule for schema errors (i is its index, for messages).
@@ -256,16 +225,7 @@ func (s Stats) Total() uint64 {
 // comparison per exchange.
 type Injector struct {
 	rules []Rule
-
-	index atomic.Uint64 // global evaluation counter (0-based indices)
-
-	mu   sync.Mutex
-	rng  *rand.Rand
-	hits []int // per-rule fire counts, for MaxHits
-
-	evals   atomic.Uint64
-	matches atomic.Uint64
-	fired   [numKinds]atomic.Uint64
+	eng   *faultinject.Engine
 }
 
 // Arm builds a live Injector. The injector owns a private PRNG seeded with
@@ -274,62 +234,32 @@ type Injector struct {
 func (p *Plan) Arm() *Injector {
 	rules := make([]Rule, len(p.Rules))
 	copy(rules, p.Rules)
-	return &Injector{
-		rules: rules,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		hits:  make([]int, len(rules)),
+	sels := make([]faultinject.Selector, len(rules))
+	for i, r := range rules {
+		sels[i] = faultinject.Selector{Key1: r.Peer, Key2: r.Route, Min: r.MinIndex, Max: r.MaxIndex,
+			Probability: r.Probability, MaxHits: r.MaxHits, Draw: r.Kind == Latency && r.JitterMs > 0}
 	}
+	return &Injector{rules: rules, eng: faultinject.NewEngine(p.Seed, sels)}
 }
 
 // At evaluates the plan for one exchange against peer over route. It
-// returns nil (no fault — the overwhelmingly common case) or the resolved
-// Fault to apply. Safe on a nil receiver, which is what keeps unarmed
-// wrappers free.
+// returns nil (no fault — the overwhelmingly common case) or the first
+// firing rule's Fault with its parameters resolved. Safe on a nil
+// receiver, which is what keeps unarmed wrappers free.
 func (in *Injector) At(peer, route string) *Fault {
 	if in == nil {
 		return nil
 	}
-	idx := int(in.index.Add(1) - 1)
-	in.evals.Add(1)
-	for i := range in.rules {
-		r := &in.rules[i]
-		if !r.matches(peer, route, idx) {
-			continue
-		}
-		in.matches.Add(1)
-		if f := in.fire(i, r, peer, route, idx); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
-// fire draws the rule's probability and, when it fires, resolves the fault
-// parameters. All PRNG draws sit under the mutex so concurrent consumers
-// see one serialized (replayable-per-order) stream.
-func (in *Injector) fire(i int, r *Rule, peer, route string, idx int) *Fault {
-	in.mu.Lock()
-	if r.MaxHits > 0 && in.hits[i] >= r.MaxHits {
-		in.mu.Unlock()
+	idx := int(in.eng.Next() - 1)
+	i, draw := in.eng.Fire(peer, route, idx)
+	if i < 0 {
 		return nil
 	}
-	fired := r.Probability >= 1 || in.rng.Float64() < r.Probability
-	var jitter float64
-	if fired {
-		in.hits[i]++
-		if r.Kind == Latency && r.JitterMs > 0 {
-			jitter = in.rng.Float64() * r.JitterMs
-		}
-	}
-	in.mu.Unlock()
-	if !fired {
-		return nil
-	}
-	in.fired[r.Kind].Add(1)
+	r := &in.rules[i]
 	f := &Fault{Kind: r.Kind, Peer: peer, Route: route, Index: idx}
 	switch r.Kind {
 	case Latency:
-		f.Latency = time.Duration((r.LatencyMs + jitter) * float64(time.Millisecond))
+		f.Latency = time.Duration((r.LatencyMs + draw*r.JitterMs) * float64(time.Millisecond))
 	case Blackhole:
 		hold := r.HoldMs
 		if hold <= 0 {
@@ -370,12 +300,10 @@ func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
-	s := Stats{
-		Evaluations: in.evals.Load(),
-		Matches:     in.matches.Load(),
-	}
-	for k := range s.Fired {
-		s.Fired[k] = in.fired[k].Load()
+	evals, matches, fired := in.eng.Counts()
+	s := Stats{Evaluations: evals, Matches: matches}
+	for i, n := range fired {
+		s.Fired[in.rules[i].Kind] += n
 	}
 	return s
 }

@@ -1,10 +1,10 @@
 package netfault
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
+
+	"repro/internal/faultinject"
 )
 
 // This file is the plan's JSON wire format. A plan file is the Plan struct
@@ -76,42 +76,15 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// ParsePlan decodes and validates a plan from its JSON form. Unknown
-// fields are rejected so a typo'd rule key fails loudly instead of
-// silently matching everything.
-func ParsePlan(data []byte) (*Plan, error) {
-	var p Plan
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("netfault: invalid plan: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after plan", ErrBadPlan)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
+// ParsePlan decodes and validates a plan from its JSON form. The decoder
+// is faultinject.Codec's: unknown fields and trailing data are rejected so
+// a typo'd rule key or a pasted second plan fails loudly.
+func ParsePlan(data []byte) (*Plan, error) { return planCodec.Parse(data) }
 
 // LoadPlan reads and parses a plan file.
-func LoadPlan(path string) (*Plan, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("netfault: reading plan: %w", err)
-	}
-	p, err := ParsePlan(data)
-	if err != nil {
-		return nil, fmt.Errorf("netfault: %s: %w", path, err)
-	}
-	return p, nil
-}
+func LoadPlan(path string) (*Plan, error) { return planCodec.Load(path) }
 
 // Marshal renders the plan as indented JSON, the inverse of ParsePlan.
-func (p *Plan) Marshal() ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(p, "", "  ")
-}
+func (p *Plan) Marshal() ([]byte, error) { return planCodec.Marshal(p) }
+
+var planCodec = faultinject.Codec[Plan, *Plan]{Pkg: "netfault", Bad: ErrBadPlan}

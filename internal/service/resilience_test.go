@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,6 +178,105 @@ func TestBreakerStaleDegradationAndRecovery(t *testing.T) {
 	}
 	if s.metrics.BreakerTransitions.Value() < 3 { // closed>open, open>half-open, half-open>closed
 		t.Fatalf("breaker_transitions = %d, want >= 3", s.metrics.BreakerTransitions.Value())
+	}
+}
+
+// TestBreakerHalfOpenRefusalServesStale reaches the second degradation
+// site: the breaker is half-open, so requests pass Refusing and go
+// through admission, but its one probe slot is taken and the flight's
+// breaker refuses with ErrOpen. A key with a stale entry gets the marked
+// stale answer; a key without one gets 503 breaker_open.
+func TestBreakerHalfOpenRefusalServesStale(t *testing.T) {
+	var failing atomic.Bool
+	probeIn, probeOut := make(chan struct{}), make(chan struct{})
+	s, ts := newTestServer(t, Options{
+		CacheTTL: time.Minute,
+		Breaker: resilience.BreakerConfig{
+			MinRequests:  3,
+			FailureRatio: 0.5,
+			OpenTimeout:  50 * time.Millisecond,
+			HalfOpenMax:  1,
+		},
+		Sweep: func(ctx context.Context, sys systems.System, problems []core.ProblemType, precs []core.Precision, cfg core.Config) ([]*core.Series, error) {
+			if problems[0].Name == "short_mn32_k" {
+				close(probeIn)
+				<-probeOut
+			}
+			if failing.Load() {
+				return nil, fmt.Errorf("backend down")
+			}
+			return core.Run(ctx, sys, problems, precs, cfg)
+		},
+	})
+	body := func(problem string) string {
+		return fmt.Sprintf(`{"system":"isambard-ai","kernel":"gemm","problem":%q,"precision":"f32","config":{"max_dim":96,"iterations":8}}`, problem)
+	}
+
+	// One healthy result, aged past its TTL, then two failures trip the
+	// breaker.
+	if resp, b := postJSON(t, ts.URL+"/v1/threshold", body("square")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy request: %d (%s)", resp.StatusCode, b)
+	}
+	s.cache.clock = func() time.Time { return time.Now().Add(2 * time.Minute) }
+	failing.Store(true)
+	for i := 0; i < 2; i++ {
+		if resp, _ := postJSON(t, ts.URL+"/v1/threshold", body("square")); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("failure %d: status %d, want 500", i, resp.StatusCode)
+		}
+	}
+
+	// Past OpenTimeout the breaker admits one half-open probe; hold it in
+	// the sweep so the probe slot stays taken.
+	time.Sleep(80 * time.Millisecond)
+	release := sync.OnceFunc(func() { close(probeOut) })
+	defer release()
+	probeDone := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/threshold", "application/json", strings.NewReader(body("short_mn32_k")))
+		if err != nil {
+			probeDone <- 0
+			return
+		}
+		resp.Body.Close()
+		probeDone <- resp.StatusCode
+	}()
+	<-probeIn
+	admitted := s.metrics.AdmittedTotal.Value()
+
+	resp, b := postJSON(t, ts.URL+"/v1/threshold", body("square"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("refused flight with a stale entry: %d (%s), want 200", resp.StatusCode, b)
+	}
+	var stale ThresholdResponse
+	decodeEnvelope(t, b, SchemaThreshold, &stale)
+	if !stale.Stale || !stale.Cached {
+		t.Fatalf("degraded response not marked stale+cached: %s", b)
+	}
+
+	resp, b = postJSON(t, ts.URL+"/v1/threshold", body("tall_k_16m"))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("refused flight without a stale entry: %d (%s), want 503", resp.StatusCode, b)
+	}
+	if e := decodeAPIError(t, b); e.Code != "breaker_open" || e.Message != resilience.ErrOpen.Error() {
+		t.Fatalf("503 body = %+v, want breaker_open carrying %q", e, resilience.ErrOpen)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+
+	// Both requests went through admission: this is the post-admission
+	// site, not the Refusing shortcut.
+	if got := s.metrics.AdmittedTotal.Value() - admitted; got != 2 {
+		t.Fatalf("admitted %d refused flights, want 2", got)
+	}
+	if s.metrics.StaleServes.Value() != 1 || s.metrics.BreakerOpenTotal.Value() != 2 {
+		t.Fatalf("stale_serves=%d breaker_open=%d, want 1/2",
+			s.metrics.StaleServes.Value(), s.metrics.BreakerOpenTotal.Value())
+	}
+
+	release()
+	if code := <-probeDone; code != http.StatusInternalServerError {
+		t.Fatalf("failing probe: status %d, want 500", code)
 	}
 }
 

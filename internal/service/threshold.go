@@ -302,16 +302,7 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	// Past the probe window Refusing reports false and the request flows
 	// through admission so the breaker can try its half-open probe.
 	if br.Refusing() {
-		s.metrics.BreakerOpenTotal.Inc()
-		if v, _, ok := s.cache.GetStale(plan.key); ok {
-			s.metrics.StaleServes.Inc()
-			resp := v.(ThresholdResponse)
-			resp.Cached = true
-			resp.Stale = true
-			WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
-			return
-		}
-		Reject(w, http.StatusServiceUnavailable, "breaker_open", time.Second, resilience.ErrOpen)
+		s.serveStale(w, plan.key, resilience.ErrOpen)
 		return
 	}
 
@@ -376,19 +367,7 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 		resp.Deduplicated = shared
 		WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
 	case errors.Is(err, resilience.ErrOpen):
-		// Graceful degradation: an open breaker means the backend is
-		// known-unhealthy, so prefer the last known answer — clearly
-		// marked — over an error the client can do nothing with.
-		s.metrics.BreakerOpenTotal.Inc()
-		if v, _, ok := s.cache.GetStale(plan.key); ok {
-			s.metrics.StaleServes.Inc()
-			resp := v.(ThresholdResponse)
-			resp.Cached = true
-			resp.Stale = true
-			WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
-			return
-		}
-		Reject(w, http.StatusServiceUnavailable, "breaker_open", time.Second, err)
+		s.serveStale(w, plan.key, err)
 	case errors.As(err, &shed):
 		// Admission shed the leader before any sweep work ran. Quota
 		// refusals are the client's own doing (429); the rest are server
@@ -424,6 +403,23 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	default:
 		WriteError(w, http.StatusInternalServerError, "", err)
 	}
+}
+
+// serveStale is the open-breaker degradation: the backend is known to be
+// unhealthy, so answer with the last known value for key, marked Cached
+// and Stale, rather than an error the client can do nothing with. With
+// nothing cached it rejects with 503 breaker_open carrying err.
+func (s *Server) serveStale(w http.ResponseWriter, key string, err error) {
+	s.metrics.BreakerOpenTotal.Inc()
+	if v, _, ok := s.cache.GetStale(key); ok {
+		s.metrics.StaleServes.Inc()
+		resp := v.(ThresholdResponse)
+		resp.Cached = true
+		resp.Stale = true
+		WriteEnvelope(w, http.StatusOK, SchemaThreshold, resp)
+		return
+	}
+	Reject(w, http.StatusServiceUnavailable, "breaker_open", time.Second, err)
 }
 
 // consultInject asks the service-layer injection point (when armed)

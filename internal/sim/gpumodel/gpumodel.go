@@ -308,7 +308,8 @@ func (g *Model) TimeGemv(s xfer.Strategy, elemSize, m, n int, beta0 bool, iters 
 }
 
 // consult asks the injection point about the device-kernel site and the
-// strategy's movement site, accumulating injected latency.
+// strategy's movement site (usm under Unified, xfer otherwise),
+// accumulating injected latency.
 func (g *Model) consult(s xfer.Strategy, kernel string, dim int) (float64, error) {
 	if g.Inject == nil {
 		return 0, nil
@@ -319,12 +320,11 @@ func (g *Model) consult(s xfer.Strategy, kernel string, dim int) (float64, error
 	if err != nil {
 		return 0, err
 	}
-	var moveExtra float64
+	move := faultinject.BackendXfer
 	if s == xfer.Unified {
-		moveExtra, err = usm.CheckFault(g.Inject, kernel, dim)
-	} else {
-		moveExtra, err = xfer.CheckFault(g.Inject, kernel, dim)
+		move = faultinject.BackendUSM
 	}
+	moveExtra, err := g.Inject.At(faultinject.Site{Backend: move, Kernel: kernel, Dim: dim})
 	if err != nil {
 		return 0, err
 	}

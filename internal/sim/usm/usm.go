@@ -21,7 +21,6 @@ package usm
 import (
 	"math"
 
-	"repro/internal/faultinject"
 	"repro/internal/sim/hw"
 )
 
@@ -86,17 +85,6 @@ var NVIDIAUSM = Profile{
 	MigrationBWFactor:     0.90,
 	ResidualFaultFraction: 0.004,
 	XnackEnabled:          true,
-}
-
-// CheckFault consults an injection point for one page-migration pass
-// (Backend "usm"): it returns any extra modeled seconds for a latency
-// fault, or the fault error itself. A nil point — the normal, fault-free
-// configuration — costs one nil check and nothing else.
-func CheckFault(p faultinject.Point, kernel string, dim int) (float64, error) {
-	if p == nil {
-		return 0, nil
-	}
-	return p.At(faultinject.Site{Backend: faultinject.BackendUSM, Kernel: kernel, Dim: dim})
 }
 
 // MoveSeconds returns the total modeled data-movement time for a USM run

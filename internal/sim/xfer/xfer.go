@@ -17,8 +17,6 @@ package xfer
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/faultinject"
 )
 
 // ErrUnknownStrategy is the sentinel wrapped by ParseStrategy for
@@ -85,17 +83,6 @@ func GemvBytes(elemSize, m, n int) (toDev, fromDev int64) {
 	toDev = (int64(m)*int64(n) + int64(n) + int64(m)) * es
 	fromDev = int64(m) * es
 	return toDev, fromDev
-}
-
-// CheckFault consults an injection point for one explicit-transfer
-// operation (Backend "xfer"): it returns any extra modeled seconds for a
-// latency fault, or the fault error itself. A nil point — the normal,
-// fault-free configuration — costs one nil check and nothing else.
-func CheckFault(p faultinject.Point, kernel string, dim int) (float64, error) {
-	if p == nil {
-		return 0, nil
-	}
-	return p.At(faultinject.Site{Backend: faultinject.BackendXfer, Kernel: kernel, Dim: dim})
 }
 
 // Rounds returns how many explicit transfer rounds the strategy performs
