@@ -104,9 +104,6 @@ func BenchmarkFlopsModel(b *testing.B) { runExperiment(b, "flops-model", benchOp
 // BenchmarkXnack regenerates the HSA_XNACK USM ablation (§IV).
 func BenchmarkXnack(b *testing.B) { runExperiment(b, "xnack", benchOpt()) }
 
-// BenchmarkBatched regenerates the batched-GEMM extension (§V).
-func BenchmarkBatched(b *testing.B) { runExperiment(b, "batched", benchOpt()) }
-
 // BenchmarkPerfStat regenerates the §IV-B effective-CPUs evidence.
 func BenchmarkPerfStat(b *testing.B) { runExperiment(b, "perfstat", benchOpt()) }
 

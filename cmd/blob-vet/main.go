@@ -1,8 +1,7 @@
 // Command blob-vet runs the repository's custom static-analysis suite:
-// the nine analyzers under internal/analysis that machine-check the
+// the eight analyzers under internal/analysis that machine-check the
 // benchmark's numeric, concurrency, documentation and contract
-// invariants (argument validation in BLAS kernels, no raw float
-// equality, goroutine hygiene in the hot paths, bit-reproducible
+// invariants (no raw float equality, goroutine hygiene in the hot paths, bit-reproducible
 // simulator output, GoDoc on every package, context plumbing, mutex
 // discipline, allocation-free hot paths, and classifiable errors).
 //

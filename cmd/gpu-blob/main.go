@@ -11,7 +11,7 @@
 // runs all 28 (kernel, precision, problem-type) sweeps for 8 iterations on
 // the DAWN model with sizes 1..4096. Use --experiment to regenerate a
 // specific paper table or figure instead (table1, table3..table6, fig2..
-// fig7, flops-model, xnack, batched, perfstat, or "all").
+// fig7, flops-model, xnack, perfstat, stability, quirks, or "all").
 //
 // The resilience flags make long sweeps survivable: -retries retries
 // transient backend faults with full-jitter backoff, -checkpoint-dir

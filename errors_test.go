@@ -96,7 +96,7 @@ func TestErrorSitesKeepTheirText(t *testing.T) {
 		{"csvio device", func() error { _, err := csvio.Thresholds([]csvio.Row{{Device: "TPU"}}); return err },
 			csvio.ErrUnknownDevice, `csvio: unknown device "TPU"`},
 		{"experiments id", func() error { _, err := experiments.ByID("table2"); return err },
-			experiments.ErrUnknownID, `experiments: unknown id "table2" (have [batched fig2 fig3 fig4 fig5 fig6 fig7 flops-model perfstat quirks stability table1 table3 table4 table5 table6 xnack])`},
+			experiments.ErrUnknownID, `experiments: unknown id "table2" (have [fig2 fig3 fig4 fig5 fig6 fig7 flops-model perfstat quirks stability table1 table3 table4 table5 table6 xnack])`},
 		{"load dir", func() error { _, err := load.Dir(dir, "example.com/empty"); return err },
 			load.ErrNoGoFiles, "no Go files in DIR"},
 		{"faultinject kind", func() error { _, err := faultinject.ParseKind("flaky"); return err },

@@ -13,7 +13,6 @@ import (
 	"repro/internal/analysis/floatcompare"
 	"repro/internal/analysis/goroutinehygiene"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/kernelargcheck"
 	"repro/internal/analysis/locksafety"
 	"repro/internal/analysis/pkgdoc"
 )
@@ -27,7 +26,6 @@ func All() []*blobvet.Analyzer {
 		floatcompare.Analyzer,
 		goroutinehygiene.Analyzer,
 		hotalloc.Analyzer,
-		kernelargcheck.Analyzer,
 		locksafety.Analyzer,
 		pkgdoc.Analyzer,
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // blobvetCase tracks the wall-clock of one blob-vet analysis pass: all
-// nine analyzers plus directive validation over internal/flops (a small,
+// eight analyzers plus directive validation over internal/flops (a small,
 // stable package, so the number tracks the analyzers' own cost rather
 // than the target's churn). Loading and type-checking happen once in
 // Prepare — the op measures pure analysis time, which is what grows when

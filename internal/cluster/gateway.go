@@ -10,9 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/service"
@@ -78,29 +76,42 @@ type Gateway struct {
 	lat     latencyRing // recent proxy latencies, feeding the hedge delay
 }
 
-// gatewayMetrics is the gateway's own observability surface (the
-// service's Metrics registry is per-replica; the gateway only routes).
+// gatewayMetrics is the gateway's own observability surface, in its own
+// registry (the service's Metrics registry is per-replica; the gateway
+// only routes).
 type gatewayMetrics struct {
-	mu     sync.Mutex
-	routed map[string]*service.Counter // peer -> relayed responses
+	*service.Registry
+	routed service.Vec[service.Counter] // peer -> relayed responses
 
-	reroutes     service.Counter // transport failures that advanced to the next owner
-	breakerSkips service.Counter // owners skipped because their breaker refused
-	noPeer       service.Counter // requests that exhausted every owner
-	hedges       service.Counter // hedge requests fired (slow primary)
-	hedgeWins    service.Counter // relayed responses that came from a hedge
-	deadlineGone service.Counter // requests 504ed at the gateway: budget spent pre-forward
+	reroutes     *service.Counter // transport failures that advanced to the next owner
+	breakerSkips *service.Counter // owners skipped because their breaker refused
+	noPeer       *service.Counter // requests that exhausted every owner
+	hedges       *service.Counter // hedge requests fired (slow primary)
+	hedgeWins    *service.Counter // relayed responses that came from a hedge
+	deadlineGone *service.Counter // requests 504ed at the gateway: budget spent pre-forward
 }
 
-func (g *gatewayMetrics) routedCounter(peer string) *service.Counter {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, ok := g.routed[peer]
-	if !ok {
-		c = &service.Counter{}
-		g.routed[peer] = c
+func newGatewayMetrics(pool *Pool) gatewayMetrics {
+	r := &service.Registry{}
+	r.GaugeFunc("blob_gateway_peer_up", "Ring membership, by peer (1 = in the ring).", func(emit func(float64, ...string)) {
+		for _, m := range pool.Members() {
+			up := 0.0
+			if pool.Healthy(m.Name) {
+				up = 1
+			}
+			emit(up, m.Name)
+		}
+	}, "peer")
+	return gatewayMetrics{
+		Registry:     r,
+		routed:       r.CounterVec("blob_gateway_routed_total", "Responses relayed, by serving peer.", "peer"),
+		reroutes:     r.Counter("blob_gateway_reroutes_total", "Transport failures that advanced to the next ring owner."),
+		breakerSkips: r.Counter("blob_gateway_breaker_skips_total", "Owners skipped because their circuit breaker refused."),
+		noPeer:       r.Counter("blob_gateway_no_peer_total", "Requests that exhausted every ring owner."),
+		hedges:       r.Counter("blob_gateway_hedges_total", "Hedge requests fired against a slow primary owner."),
+		hedgeWins:    r.Counter("blob_gateway_hedge_wins_total", "Relayed responses that came from a hedge, not the primary."),
+		deadlineGone: r.Counter("blob_gateway_deadline_exhausted_total", "Requests answered 504 because the deadline budget was spent before forwarding."),
 	}
-	return c
 }
 
 // NewGateway builds a Gateway over a (typically self-less) pool.
@@ -120,9 +131,7 @@ func NewGateway(pool *Pool, opts GatewayOptions) *Gateway {
 	if opts.HedgeMax <= 0 {
 		opts.HedgeMax = 500 * time.Millisecond
 	}
-	g := &Gateway{pool: pool, opts: opts, log: opts.Logger, start: time.Now()}
-	g.metrics.routed = map[string]*service.Counter{}
-	return g
+	return &Gateway{pool: pool, opts: opts, log: opts.Logger, start: time.Now(), metrics: newGatewayMetrics(pool)}
 }
 
 // Handler returns the gateway's routed HTTP handler.
@@ -134,7 +143,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("/cluster/v1/hello", g.pool.HelloHandler())
 	mux.HandleFunc("/healthz", g.handleHealthz)
 	mux.HandleFunc("/readyz", g.handleReadyz)
-	mux.HandleFunc("/metrics", g.handleMetrics)
+	mux.Handle("/metrics", g.metrics)
 	return mux
 }
 
@@ -278,7 +287,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key string, body
 		}
 		g.lat.observe(time.Since(arrived))
 		g.relay(w, resp, name)
-		g.metrics.routedCounter(name).Inc()
+		g.metrics.routed.With(name).Inc()
 		return
 	}
 	g.metrics.noPeer.Inc()
@@ -337,48 +346,4 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		WorkersArmed:  true, // the gateway has no pool to arm
 		UptimeSeconds: time.Since(g.start).Seconds(),
 	})
-}
-
-// handleMetrics renders the gateway's Prometheus text: per-peer routed
-// counts and up-gauges, reroute/skip/no-peer counters, and the routing
-// latency histogram the route-overhead bench asserts on.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-
-	g.metrics.mu.Lock()
-	peers := make([]string, 0, len(g.metrics.routed))
-	for name := range g.metrics.routed {
-		peers = append(peers, name)
-	}
-	g.metrics.mu.Unlock()
-	sort.Strings(peers)
-
-	fmt.Fprintf(&b, "# HELP blob_gateway_routed_total Responses relayed, by serving peer.\n# TYPE blob_gateway_routed_total counter\n")
-	for _, name := range peers {
-		fmt.Fprintf(&b, "blob_gateway_routed_total{peer=%q} %d\n", name, g.metrics.routedCounter(name).Value())
-	}
-	fmt.Fprintf(&b, "# HELP blob_gateway_reroutes_total Transport failures that advanced to the next ring owner.\n# TYPE blob_gateway_reroutes_total counter\n")
-	fmt.Fprintf(&b, "blob_gateway_reroutes_total %d\n", g.metrics.reroutes.Value())
-	fmt.Fprintf(&b, "# HELP blob_gateway_breaker_skips_total Owners skipped because their circuit breaker refused.\n# TYPE blob_gateway_breaker_skips_total counter\n")
-	fmt.Fprintf(&b, "blob_gateway_breaker_skips_total %d\n", g.metrics.breakerSkips.Value())
-	fmt.Fprintf(&b, "# HELP blob_gateway_no_peer_total Requests that exhausted every ring owner.\n# TYPE blob_gateway_no_peer_total counter\n")
-	fmt.Fprintf(&b, "blob_gateway_no_peer_total %d\n", g.metrics.noPeer.Value())
-	fmt.Fprintf(&b, "# HELP blob_gateway_hedges_total Hedge requests fired against a slow primary owner.\n# TYPE blob_gateway_hedges_total counter\n")
-	fmt.Fprintf(&b, "blob_gateway_hedges_total %d\n", g.metrics.hedges.Value())
-	fmt.Fprintf(&b, "# HELP blob_gateway_hedge_wins_total Relayed responses that came from a hedge, not the primary.\n# TYPE blob_gateway_hedge_wins_total counter\n")
-	fmt.Fprintf(&b, "blob_gateway_hedge_wins_total %d\n", g.metrics.hedgeWins.Value())
-	fmt.Fprintf(&b, "# HELP blob_gateway_deadline_exhausted_total Requests answered 504 because the deadline budget was spent before forwarding.\n# TYPE blob_gateway_deadline_exhausted_total counter\n")
-	fmt.Fprintf(&b, "blob_gateway_deadline_exhausted_total %d\n", g.metrics.deadlineGone.Value())
-
-	fmt.Fprintf(&b, "# HELP blob_gateway_peer_up Ring membership, by peer (1 = in the ring).\n# TYPE blob_gateway_peer_up gauge\n")
-	for _, m := range g.pool.Members() {
-		up := 0
-		if g.pool.Healthy(m.Name) {
-			up = 1
-		}
-		fmt.Fprintf(&b, "blob_gateway_peer_up{peer=%q} %d\n", m.Name, up)
-	}
-
-	_, _ = io.WriteString(w, b.String())
 }

@@ -266,7 +266,7 @@ func (g *Gateway) routeHedged(w http.ResponseWriter, r *http.Request, owners []s
 			}
 			g.lat.observe(time.Since(arrived))
 			g.relay(w, res.Resp, from.name)
-			g.metrics.routedCounter(from.name).Inc()
+			g.metrics.routed.With(from.name).Inc()
 			// Cancel only after relay has drained the body: cancelling the
 			// attempt context aborts an in-progress body read.
 			from.cancel()

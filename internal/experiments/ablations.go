@@ -76,29 +76,6 @@ func Xnack(ctx context.Context, w io.Writer, opt Options) error {
 	return nil
 }
 
-// Batched runs the §V future-work extension: the offload threshold of
-// batched square GEMMs. Batching amortises launch overhead and fills the
-// GPU with batch*m*n output tiles, so the per-matrix threshold collapses as
-// the batch grows.
-func Batched(_ context.Context, w io.Writer, opt Options) error {
-	opt = opt.Normalize()
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "System\tBatch\tOffload threshold (SGEMM, Transfer-Once, 8 iters)\n")
-	for _, sys := range systems.All() {
-		for _, batch := range []int{1, 16, 256} {
-			var det core.ThresholdDetector
-			for p := 1; p <= 512; p += opt.Step {
-				cpu := sys.CPU.GemmBatchedSeconds(4, p, p, p, batch, true, 8)
-				gpu := sys.GPU.GemmBatchedSeconds(xfer.TransferOnce, 4, p, p, p, batch, true, 8)
-				det.ObserveTimes(core.Dims{M: p, N: p, K: p}, cpu, gpu)
-			}
-			dims, found := det.Threshold()
-			fmt.Fprintf(tw, "%s\t%d\t%s\n", sys.Name, batch, core.Threshold{Dims: dims, Found: found})
-		}
-	}
-	return tw.Flush()
-}
-
 // PerfStat reproduces the §IV-B perf-stat evidence: AOCL keeps a single CPU
 // busy for GEMV but >50 CPUs for GEMM, explaining LUMI's weak CPU GEMV.
 func PerfStat(_ context.Context, w io.Writer, _ Options) error {

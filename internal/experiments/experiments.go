@@ -67,7 +67,6 @@ var Registry = []Experiment{
 	{ID: "fig7", Title: "Fig 7: DAWN GPU SGEMM, implicit vs explicit scaling (32 iterations)", Run: Fig7},
 	{ID: "flops-model", Title: "Ablation: exact vs approximated FLOP counts (§III-A)", Run: FlopsModel},
 	{ID: "xnack", Title: "Ablation: LUMI USM with and without HSA_XNACK (§IV)", Run: Xnack},
-	{ID: "batched", Title: "Extension: batched GEMM offload threshold (§V)", Run: Batched},
 	{ID: "stability", Title: "Ablation: threshold-detector stability under stride and noise (§III-D)", Run: Stability},
 	{ID: "quirks", Title: "Ablation: offload thresholds with all library quirks removed", Run: QuirkAblation},
 	{ID: "perfstat", Title: "§IV-B evidence: effective CPUs used by AOCL GEMV vs GEMM", Run: PerfStat},

@@ -20,7 +20,7 @@ func TestRegistryCoversPaperElements(t *testing.T) {
 	want := []string{
 		"table1", "table3", "table4", "table5", "table6",
 		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"flops-model", "xnack", "batched",
+		"flops-model", "xnack",
 		"stability", "quirks", "perfstat",
 	}
 	for _, id := range want {
@@ -225,51 +225,11 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("xnack ablation:\n%s", buf.String())
 	}
 	buf.Reset()
-	if err := Batched(context.Background(), &buf, fastOpt()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Batch") {
-		t.Fatalf("batched ablation:\n%s", buf.String())
-	}
-	buf.Reset()
 	if err := PerfStat(context.Background(), &buf, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "0.89 CPUs") {
 		t.Fatalf("perfstat should report the paper's 0.89 CPUs figure:\n%s", buf.String())
-	}
-}
-
-// Batched extension: the threshold must shrink (or vanish into "wins from
-// size 1") as the batch size grows, on every system.
-func TestBatchedThresholdShrinks(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Batched(context.Background(), &buf, Options{Step: 1, MaxDim: 512}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	re := regexp.MustCompile(`\{(\d+), \d+, \d+\}`)
-	var lastSys string
-	var prev int
-	for _, ln := range strings.Split(out, "\n") {
-		fields := strings.Fields(ln)
-		if len(fields) < 2 {
-			continue
-		}
-		m := re.FindStringSubmatch(ln)
-		if m == nil {
-			continue
-		}
-		var v int
-		fmt := strings.NewReader(m[1])
-		_ = fmt
-		for _, ch := range m[1] {
-			v = v*10 + int(ch-'0')
-		}
-		if fields[0] == lastSys && v > prev {
-			t.Fatalf("batched threshold grew on %s: %d -> %d\n%s", lastSys, prev, v, out)
-		}
-		lastSys, prev = fields[0], v
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,9 +14,9 @@ import (
 )
 
 // This file is the service's stdlib-only observability layer: counters,
-// gauges and histograms with a Prometheus-text rendering, so a scrape of
-// GET /metrics works with standard tooling without importing a client
-// library (the repository is deliberately dependency-free).
+// gauges and histograms registered once in a Registry that renders the
+// Prometheus text exposition format without a client library (the
+// repository is deliberately dependency-free).
 
 // Counter is a monotonically increasing count.
 type Counter struct{ n atomic.Int64 }
@@ -37,95 +39,279 @@ func (g *Gauge) Inc() { g.n.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.n.Add(-1) }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.n.Store(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.n.Load() }
 
 // defLatencyBounds are the histogram bucket upper bounds in seconds,
 // spanning sub-millisecond advise calls to multi-second threshold sweeps.
-var defLatencyBounds = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
+var defLatencyBounds = [...]float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
-// Histogram is a fixed-bucket latency histogram.
+// Histogram is a fixed-bucket latency histogram over defLatencyBounds.
 type Histogram struct {
 	mu     sync.Mutex
-	bounds []float64
-	counts []int64
+	counts [len(defLatencyBounds) + 1]int64 // one per bound, then +Inf
 	sum    float64
 	total  int64
-}
-
-// NewHistogram returns a histogram over the default latency buckets.
-func NewHistogram() *Histogram {
-	return &Histogram{bounds: defLatencyBounds, counts: make([]int64, len(defLatencyBounds)+1)}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
+	h.counts[sort.SearchFloat64s(defLatencyBounds[:], v)]++
 	h.sum += v
 	h.total++
 }
 
-// snapshot returns cumulative bucket counts, the sum and the total.
-func (h *Histogram) snapshot() (cum []int64, sum float64, total int64) {
+func (h *Histogram) write(b *strings.Builder, name, labels string) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	cum = make([]int64, len(h.counts))
-	var run int64
-	for i, c := range h.counts {
-		run += c
-		cum[i] = run
+	counts, sum, total := h.counts, h.sum, h.total
+	h.mu.Unlock()
+	le := strings.TrimPrefix(labels+",", ",") // labels, then le=
+	var cum int64
+	for i, c := range counts {
+		cum += c
+		bound := "+Inf"
+		if i < len(defLatencyBounds) {
+			bound = formatValue(defLatencyBounds[i])
+		}
+		writeSample(b, name+"_bucket", le+`le="`+bound+`"`, float64(cum))
 	}
-	return cum, h.sum, h.total
+	writeSample(b, name+"_sum", labels, sum)
+	writeSample(b, name+"_count", labels, float64(total))
 }
 
-// Metrics aggregates every series the service exports. Request-scoped
-// series are labelled by endpoint (and status code for the counter);
-// label sets are created lazily and rendered in sorted order so scrapes
-// are deterministic.
+// Registry is a register-once set of metric families, each with its
+// name, HELP text, type and label names. WriteTo renders every family
+// in name order, each family's children in sorted label-value order.
+// It is an http.Handler serving that rendering. The zero value is empty
+// and ready to use.
+type Registry struct {
+	mu       sync.Mutex
+	families []*family
+}
+
+// family is one registered metric family. Its children are created on
+// first use or, for a gauge read from a func, listed by read at scrape
+// time.
+type family struct {
+	name, help, kind string
+	labels           []string
+	read             func(emit func(v float64, values ...string))
+	// limit bounds a one-label family's children; past it, new label
+	// values aggregate under "_other". 0 means unbounded.
+	limit int
+
+	mu       sync.Mutex
+	children map[string]child // label values joined by 0xff -> child
+}
+
+// child is one labelled series: a *Counter, *Gauge or *Histogram, or
+// the float64 a gauge func emitted at scrape time.
+type child struct {
+	values []string
+	m      any
+}
+
+// Vec is a labelled family's handle.
+type Vec[T any] struct{ f *family }
+
+// With returns the child for one set of label values (in declaration
+// order), creating it on first use.
+func (v Vec[T]) With(values ...string) *T { return v.f.with(values).(*T) }
+
+// Counter registers an unlabelled counter.
+func (r *Registry) Counter(name, help string) *Counter { return r.CounterVec(name, help).With() }
+
+// CounterVec registers a counter family with the given label names.
+func (r *Registry) CounterVec(name, help string, labels ...string) Vec[Counter] {
+	return Vec[Counter]{r.add(&family{name: name, help: help, kind: "counter", labels: labels})}
+}
+
+// Gauge registers an unlabelled gauge.
+func (r *Registry) Gauge(name, help string) *Gauge {
+	return Vec[Gauge]{r.add(&family{name: name, help: help, kind: "gauge"})}.With()
+}
+
+// GaugeFunc registers a gauge read at scrape time: read calls emit once
+// per child, with that child's value and label values.
+func (r *Registry) GaugeFunc(name, help string, read func(emit func(v float64, values ...string)), labels ...string) {
+	r.add(&family{name: name, help: help, kind: "gauge", labels: labels, read: read})
+}
+
+// HistogramVec registers a latency histogram family with the given
+// label names.
+func (r *Registry) HistogramVec(name, help string, labels ...string) Vec[Histogram] {
+	return Vec[Histogram]{r.add(&family{name: name, help: help, kind: "histogram", labels: labels})}
+}
+
+func (r *Registry) add(f *family) *family {
+	f.children = map[string]child{}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if slices.ContainsFunc(r.families, func(g *family) bool { return g.name == f.name }) {
+		panic("service: metric family registered twice: " + f.name)
+	}
+	r.families = append(r.families, f)
+	return f
+}
+
+// with is the one get-or-create for labelled children. The lookup key
+// is built on the stack, so a hit takes one lock and no allocation.
+func (f *family) with(values []string) any {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("service: %s takes %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
+	var buf [128]byte
+	key := joinKey(buf[:0], values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.children[string(key)]
+	if !ok && f.limit > 0 && len(f.children) >= f.limit {
+		key = []byte("_other")
+		c, ok = f.children["_other"]
+	}
+	if !ok {
+		c = child{values: strings.Split(string(key), "\xff"), m: &Histogram{}}
+		switch f.kind {
+		case "counter":
+			c.m = &Counter{}
+		case "gauge":
+			c.m = &Gauge{}
+		}
+		f.children[string(key)] = c
+	}
+	return c.m
+}
+
+// joinKey appends values, each made valid UTF-8 (so two invalid
+// spellings cannot render as one duplicated series), separated by 0xff,
+// a byte valid UTF-8 never holds.
+func joinKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, 0xff)
+		}
+		dst = append(dst, strings.ToValidUTF8(v, "\uFFFD")...)
+	}
+	return dst
+}
+
+// snapshot returns the family's children sorted by label values.
+func (f *family) snapshot() []child {
+	var cs []child
+	if f.read != nil {
+		f.read(func(v float64, values ...string) {
+			cs = append(cs, child{values: slices.Clone(values), m: v})
+		})
+	} else {
+		f.mu.Lock()
+		for _, c := range f.children {
+			cs = append(cs, c)
+		}
+		f.mu.Unlock()
+	}
+	slices.SortFunc(cs, func(a, b child) int { return slices.Compare(a.values, b.values) })
+	return cs
+}
+
+// WriteTo renders the registry in the Prometheus text exposition format.
+func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+	r.mu.Lock()
+	families := slices.Clone(r.families)
+	r.mu.Unlock()
+	slices.SortFunc(families, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	var b strings.Builder
+	for _, f := range families {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		for _, c := range f.snapshot() {
+			pairs := make([]string, len(f.labels))
+			for i, name := range f.labels {
+				pairs[i] = name + `="` + labelEscaper.Replace(strings.ToValidUTF8(c.values[i], "\uFFFD")) + `"`
+			}
+			labels := strings.Join(pairs, ",")
+			switch m := c.m.(type) {
+			case interface{ Value() int64 }: // *Counter, *Gauge
+				writeSample(&b, f.name, labels, float64(m.Value()))
+			case float64:
+				writeSample(&b, f.name, labels, m)
+			case *Histogram:
+				m.write(&b, f.name, labels)
+			}
+		}
+	}
+	n, err := io.WriteString(w, b.String())
+	return int64(n), err
+}
+
+// ServeHTTP answers a scrape.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = r.WriteTo(w)
+}
+
+// labelEscaper applies exactly the exposition format's three label
+// escapes: backslash, double quote and newline.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func writeSample(b *strings.Builder, name, labels string, v float64) {
+	b.WriteString(name)
+	if labels != "" {
+		b.WriteString("{" + labels + "}")
+	}
+	b.WriteString(" " + formatValue(v) + "\n")
+}
+
+// formatValue prints integral values as integers and others in the
+// shortest %g form.
+func formatValue(v float64) string {
+	if _, frac := math.Modf(v); frac == 0 && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// Metrics holds every series a replica exports, registered in its own
+// Registry (embedded, so Metrics renders and serves the scrape).
 type Metrics struct {
-	mu          sync.Mutex
-	requests    map[string]*Counter   // "endpoint|code" -> count
-	latency     map[string]*Histogram // endpoint -> seconds histogram
-	sheds       map[string]*Counter   // shed reason -> count
-	clientSheds map[string]*Counter   // client -> count (bounded; overflow -> "_other")
+	*Registry
+
+	requests    Vec[Counter]   // endpoint, code
+	latency     Vec[Histogram] // endpoint
+	sheds       Vec[Counter]   // shed reason
+	clientSheds Vec[Counter]   // client (bounded; overflow -> "_other")
 
 	// CacheHits / CacheMisses count /v1/threshold cache lookups.
-	CacheHits, CacheMisses Counter
+	CacheHits, CacheMisses *Counter
 	// SweepsStarted / SweepsCompleted / SweepsCancelled count threshold
 	// sweeps actually executed by the worker pool (deduplicated requests
 	// never increment these — that is what the singleflight test asserts).
-	SweepsStarted, SweepsCompleted, SweepsCancelled Counter
+	SweepsStarted, SweepsCompleted, SweepsCancelled *Counter
 	// InFlight is the number of requests currently being served.
-	InFlight Gauge
+	InFlight *Gauge
 	// QueueDepth reads the worker pool's backlog at scrape time.
 	QueueDepth func() int
 
 	// PanicsTotal counts panics recovered by the containment layer (the
 	// HTTP middleware and the sweep flight wrapper) instead of crashing
 	// the process.
-	PanicsTotal Counter
+	PanicsTotal *Counter
 	// StaleServes counts threshold responses served from an expired or
 	// breaker-shielded cache entry, marked "stale": true on the wire.
-	StaleServes Counter
+	StaleServes *Counter
 	// TimeoutsTotal counts requests that exhausted their deadline budget
 	// and were answered 504.
-	TimeoutsTotal Counter
+	TimeoutsTotal *Counter
 	// BreakerOpenTotal counts requests refused (or degraded to a stale
 	// serve) because a backend's circuit breaker was open.
-	BreakerOpenTotal Counter
+	BreakerOpenTotal *Counter
 	// BreakerTransitions counts circuit-breaker state changes across all
 	// per-system breakers.
-	BreakerTransitions Counter
+	BreakerTransitions *Counter
 
 	// AdmittedTotal counts sweeps admitted by the overload controller
 	// (queued-then-granted included; sheds excluded).
-	AdmittedTotal Counter
+	AdmittedTotal *Counter
 	// AdmissionSeconds is the admission decision latency: how long a
 	// request waited for the controller to either grant it a slot or shed
 	// it — the p99 of this histogram is the soak harness's SLO.
@@ -139,7 +325,7 @@ type Metrics struct {
 	// PeerFillFallbacks counts fill attempts that failed and fell back to
 	// a local sweep. Requests the hook declined (this replica owns the
 	// shard) count in neither.
-	PeerFillServes, PeerFillFallbacks Counter
+	PeerFillServes, PeerFillFallbacks *Counter
 	// drainSeconds is the blob_drain_seconds gauge: wall-clock of the
 	// last completed graceful drain (BeginDrain → Close), stored as
 	// float64 bits so the scrape path stays lock-free.
@@ -150,17 +336,56 @@ type Metrics struct {
 	// DispatchCacheHits counts the decisions answered from the
 	// dispatchers' seen-shape caches, and DispatchAbandoned the batches
 	// whose client hung up mid-batch (answered 499).
-	DispatchBatches, DispatchDecisions, DispatchCacheHits, DispatchAbandoned Counter
+	DispatchBatches, DispatchDecisions, DispatchCacheHits, DispatchAbandoned *Counter
 }
 
-// NewMetrics returns an empty registry.
+// maxShedClients bounds the per-client shed series so a client-key
+// minting attack cannot grow the scrape without bound; overflow clients
+// aggregate under "_other".
+const maxShedClients = 256
+
+// NewMetrics returns a replica's metrics, every family registered.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		requests:         map[string]*Counter{},
-		latency:          map[string]*Histogram{},
-		sheds:            map[string]*Counter{},
-		clientSheds:      map[string]*Counter{},
-		AdmissionSeconds: NewHistogram(),
+	r := &Registry{}
+	m := &Metrics{Registry: r}
+	m.requests = r.CounterVec("blob_requests_total", "Requests served, by endpoint and status code.", "endpoint", "code")
+	m.latency = r.HistogramVec("blob_request_seconds", "Request latency, by endpoint.", "endpoint")
+	m.CacheHits = r.Counter("blob_cache_hits_total", "Threshold cache hits.")
+	m.CacheMisses = r.Counter("blob_cache_misses_total", "Threshold cache misses.")
+	sweeps := r.CounterVec("blob_sweeps_total", "Threshold sweeps executed by the worker pool.", "result")
+	m.SweepsStarted, m.SweepsCompleted, m.SweepsCancelled = sweeps.With("started"), sweeps.With("completed"), sweeps.With("cancelled")
+	m.InFlight = r.Gauge("blob_inflight_requests", "Requests currently being served.")
+	m.PanicsTotal = r.Counter("blob_panics_total", "Panics recovered instead of crashing the process.")
+	m.StaleServes = r.Counter("blob_stale_serves_total", "Threshold responses served stale from the cache.")
+	m.TimeoutsTotal = r.Counter("blob_timeouts_total", "Requests that exhausted their deadline budget.")
+	m.BreakerOpenTotal = r.Counter("blob_breaker_open_total", "Requests refused or degraded by an open circuit breaker.")
+	m.BreakerTransitions = r.Counter("blob_breaker_transitions_total", "Circuit breaker state changes across all backends.")
+	fills := r.CounterVec("blob_peer_fill_total", "Threshold cache misses resolved via the cluster peer-fill path, by result.", "result")
+	m.PeerFillServes, m.PeerFillFallbacks = fills.With("served"), fills.With("fallback")
+	r.GaugeFunc("blob_drain_seconds", "Wall-clock of the last completed graceful drain (ring-leave to flush).",
+		func(emit func(float64, ...string)) { emit(m.DrainSeconds()) })
+	m.DispatchBatches = r.Counter("blob_dispatch_batches_total", "Dispatch batches served.")
+	decisions := r.CounterVec("blob_dispatch_decisions_total", "Per-call routing decisions served, by source.", "source")
+	m.DispatchDecisions, m.DispatchCacheHits = decisions.With("all"), decisions.With("cache")
+	m.DispatchAbandoned = r.Counter("blob_dispatch_abandoned_total", "Dispatch batches abandoned mid-batch by the client.")
+	r.GaugeFunc("blob_sweep_queue_depth", "Sweep jobs waiting for a worker.", readInt(&m.QueueDepth))
+	m.AdmittedTotal = r.Counter("blob_admitted_total", "Sweeps admitted by the overload controller.")
+	m.sheds = r.CounterVec("blob_shed_total", "Requests shed by admission control, by reason.", "reason")
+	m.clientSheds = r.CounterVec("blob_client_shed_total", "Requests shed by admission control, by client.", "client")
+	m.clientSheds.f.limit = maxShedClients
+	m.AdmissionSeconds = r.HistogramVec("blob_admission_seconds", "Admission decision latency (grant or shed).").With()
+	r.GaugeFunc("blob_admission_limit", "Current AIMD concurrency limit.", readInt(&m.AdmissionLimit))
+	r.GaugeFunc("blob_admission_queue_depth", "Requests queued for admission.", readInt(&m.AdmissionQueued))
+	return m
+}
+
+// readInt adapts one of Metrics' scrape-time func fields to GaugeFunc;
+// a nil func renders no sample.
+func readInt(f *func() int) func(emit func(float64, ...string)) {
+	return func(emit func(float64, ...string)) {
+		if *f != nil {
+			emit(float64((*f)()))
+		}
 	}
 }
 
@@ -170,193 +395,3 @@ func (m *Metrics) SetDrainSeconds(s float64) { m.drainSeconds.Store(math.Float64
 
 // DrainSeconds returns the wall-clock of the last completed drain.
 func (m *Metrics) DrainSeconds() float64 { return math.Float64frombits(m.drainSeconds.Load()) }
-
-// maxShedClients bounds the per-client shed series so a client-key
-// minting attack cannot grow the scrape without bound; overflow clients
-// aggregate under "_other".
-const maxShedClients = 256
-
-// ShedCounter returns the shed counter for one reason.
-func (m *Metrics) ShedCounter(reason string) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.sheds[reason]
-	if !ok {
-		c = &Counter{}
-		m.sheds[reason] = c
-	}
-	return c
-}
-
-// ClientShedCounter returns the shed counter for one client identity.
-func (m *Metrics) ClientShedCounter(client string) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.clientSheds[client]
-	if !ok {
-		if len(m.clientSheds) >= maxShedClients {
-			client = "_other"
-			if c, ok = m.clientSheds[client]; ok {
-				return c
-			}
-		}
-		c = &Counter{}
-		m.clientSheds[client] = c
-	}
-	return c
-}
-
-// RequestCounter returns the counter for one endpoint and status code.
-func (m *Metrics) RequestCounter(endpoint string, code int) *Counter {
-	key := endpoint + "|" + strconv.Itoa(code)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.requests[key]
-	if !ok {
-		c = &Counter{}
-		m.requests[key] = c
-	}
-	return c
-}
-
-// LatencyHistogram returns the latency histogram for one endpoint.
-func (m *Metrics) LatencyHistogram(endpoint string) *Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.latency[endpoint]
-	if !ok {
-		h = NewHistogram()
-		m.latency[endpoint] = h
-	}
-	return h
-}
-
-// WriteTo renders the registry in the Prometheus text exposition format.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-
-	m.mu.Lock()
-	reqKeys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
-	}
-	latKeys := make([]string, 0, len(m.latency))
-	for k := range m.latency {
-		latKeys = append(latKeys, k)
-	}
-	shedKeys := make([]string, 0, len(m.sheds))
-	for k := range m.sheds {
-		shedKeys = append(shedKeys, k)
-	}
-	clientKeys := make([]string, 0, len(m.clientSheds))
-	for k := range m.clientSheds {
-		clientKeys = append(clientKeys, k)
-	}
-	m.mu.Unlock()
-	sort.Strings(reqKeys)
-	sort.Strings(latKeys)
-	sort.Strings(shedKeys)
-	sort.Strings(clientKeys)
-
-	fmt.Fprintf(&b, "# HELP blob_requests_total Requests served, by endpoint and status code.\n")
-	fmt.Fprintf(&b, "# TYPE blob_requests_total counter\n")
-	for _, k := range reqKeys {
-		ep, code, _ := strings.Cut(k, "|")
-		fmt.Fprintf(&b, "blob_requests_total{endpoint=%q,code=%q} %d\n",
-			ep, code, m.RequestCounter(ep, atoiOr(code)).Value())
-	}
-
-	fmt.Fprintf(&b, "# HELP blob_request_seconds Request latency, by endpoint.\n")
-	fmt.Fprintf(&b, "# TYPE blob_request_seconds histogram\n")
-	for _, ep := range latKeys {
-		cum, sum, total := m.LatencyHistogram(ep).snapshot()
-		for i, bound := range defLatencyBounds {
-			fmt.Fprintf(&b, "blob_request_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				ep, strconv.FormatFloat(bound, 'g', -1, 64), cum[i])
-		}
-		fmt.Fprintf(&b, "blob_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum[len(cum)-1])
-		fmt.Fprintf(&b, "blob_request_seconds_sum{endpoint=%q} %g\n", ep, sum)
-		fmt.Fprintf(&b, "blob_request_seconds_count{endpoint=%q} %d\n", ep, total)
-	}
-
-	fmt.Fprintf(&b, "# HELP blob_cache_hits_total Threshold cache hits.\n# TYPE blob_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "blob_cache_hits_total %d\n", m.CacheHits.Value())
-	fmt.Fprintf(&b, "# HELP blob_cache_misses_total Threshold cache misses.\n# TYPE blob_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "blob_cache_misses_total %d\n", m.CacheMisses.Value())
-
-	fmt.Fprintf(&b, "# HELP blob_sweeps_total Threshold sweeps executed by the worker pool.\n# TYPE blob_sweeps_total counter\n")
-	fmt.Fprintf(&b, "blob_sweeps_total{result=\"started\"} %d\n", m.SweepsStarted.Value())
-	fmt.Fprintf(&b, "blob_sweeps_total{result=\"completed\"} %d\n", m.SweepsCompleted.Value())
-	fmt.Fprintf(&b, "blob_sweeps_total{result=\"cancelled\"} %d\n", m.SweepsCancelled.Value())
-
-	fmt.Fprintf(&b, "# HELP blob_inflight_requests Requests currently being served.\n# TYPE blob_inflight_requests gauge\n")
-	fmt.Fprintf(&b, "blob_inflight_requests %d\n", m.InFlight.Value())
-
-	fmt.Fprintf(&b, "# HELP blob_panics_total Panics recovered instead of crashing the process.\n# TYPE blob_panics_total counter\n")
-	fmt.Fprintf(&b, "blob_panics_total %d\n", m.PanicsTotal.Value())
-	fmt.Fprintf(&b, "# HELP blob_stale_serves_total Threshold responses served stale from the cache.\n# TYPE blob_stale_serves_total counter\n")
-	fmt.Fprintf(&b, "blob_stale_serves_total %d\n", m.StaleServes.Value())
-	fmt.Fprintf(&b, "# HELP blob_timeouts_total Requests that exhausted their deadline budget.\n# TYPE blob_timeouts_total counter\n")
-	fmt.Fprintf(&b, "blob_timeouts_total %d\n", m.TimeoutsTotal.Value())
-	fmt.Fprintf(&b, "# HELP blob_breaker_open_total Requests refused or degraded by an open circuit breaker.\n# TYPE blob_breaker_open_total counter\n")
-	fmt.Fprintf(&b, "blob_breaker_open_total %d\n", m.BreakerOpenTotal.Value())
-	fmt.Fprintf(&b, "# HELP blob_breaker_transitions_total Circuit breaker state changes across all backends.\n# TYPE blob_breaker_transitions_total counter\n")
-	fmt.Fprintf(&b, "blob_breaker_transitions_total %d\n", m.BreakerTransitions.Value())
-
-	fmt.Fprintf(&b, "# HELP blob_peer_fill_total Threshold cache misses resolved via the cluster peer-fill path, by result.\n# TYPE blob_peer_fill_total counter\n")
-	fmt.Fprintf(&b, "blob_peer_fill_total{result=\"served\"} %d\n", m.PeerFillServes.Value())
-	fmt.Fprintf(&b, "blob_peer_fill_total{result=\"fallback\"} %d\n", m.PeerFillFallbacks.Value())
-	fmt.Fprintf(&b, "# HELP blob_drain_seconds Wall-clock of the last completed graceful drain (ring-leave to flush).\n# TYPE blob_drain_seconds gauge\n")
-	fmt.Fprintf(&b, "blob_drain_seconds %g\n", m.DrainSeconds())
-
-	fmt.Fprintf(&b, "# HELP blob_dispatch_batches_total Dispatch batches served.\n# TYPE blob_dispatch_batches_total counter\n")
-	fmt.Fprintf(&b, "blob_dispatch_batches_total %d\n", m.DispatchBatches.Value())
-	fmt.Fprintf(&b, "# HELP blob_dispatch_decisions_total Per-call routing decisions served, by source.\n# TYPE blob_dispatch_decisions_total counter\n")
-	fmt.Fprintf(&b, "blob_dispatch_decisions_total{source=\"all\"} %d\n", m.DispatchDecisions.Value())
-	fmt.Fprintf(&b, "blob_dispatch_decisions_total{source=\"cache\"} %d\n", m.DispatchCacheHits.Value())
-	fmt.Fprintf(&b, "# HELP blob_dispatch_abandoned_total Dispatch batches abandoned mid-batch by the client.\n# TYPE blob_dispatch_abandoned_total counter\n")
-	fmt.Fprintf(&b, "blob_dispatch_abandoned_total %d\n", m.DispatchAbandoned.Value())
-
-	if m.QueueDepth != nil {
-		fmt.Fprintf(&b, "# HELP blob_sweep_queue_depth Sweep jobs waiting for a worker.\n# TYPE blob_sweep_queue_depth gauge\n")
-		fmt.Fprintf(&b, "blob_sweep_queue_depth %d\n", m.QueueDepth())
-	}
-
-	fmt.Fprintf(&b, "# HELP blob_admitted_total Sweeps admitted by the overload controller.\n# TYPE blob_admitted_total counter\n")
-	fmt.Fprintf(&b, "blob_admitted_total %d\n", m.AdmittedTotal.Value())
-	fmt.Fprintf(&b, "# HELP blob_shed_total Requests shed by admission control, by reason.\n# TYPE blob_shed_total counter\n")
-	for _, k := range shedKeys {
-		fmt.Fprintf(&b, "blob_shed_total{reason=%q} %d\n", k, m.ShedCounter(k).Value())
-	}
-	fmt.Fprintf(&b, "# HELP blob_client_shed_total Requests shed by admission control, by client.\n# TYPE blob_client_shed_total counter\n")
-	for _, k := range clientKeys {
-		fmt.Fprintf(&b, "blob_client_shed_total{client=%q} %d\n", k, m.ClientShedCounter(k).Value())
-	}
-	fmt.Fprintf(&b, "# HELP blob_admission_seconds Admission decision latency (grant or shed).\n# TYPE blob_admission_seconds histogram\n")
-	{
-		cum, sum, total := m.AdmissionSeconds.snapshot()
-		for i, bound := range defLatencyBounds {
-			fmt.Fprintf(&b, "blob_admission_seconds_bucket{le=%q} %d\n",
-				strconv.FormatFloat(bound, 'g', -1, 64), cum[i])
-		}
-		fmt.Fprintf(&b, "blob_admission_seconds_bucket{le=\"+Inf\"} %d\n", cum[len(cum)-1])
-		fmt.Fprintf(&b, "blob_admission_seconds_sum %g\n", sum)
-		fmt.Fprintf(&b, "blob_admission_seconds_count %d\n", total)
-	}
-	if m.AdmissionLimit != nil {
-		fmt.Fprintf(&b, "# HELP blob_admission_limit Current AIMD concurrency limit.\n# TYPE blob_admission_limit gauge\n")
-		fmt.Fprintf(&b, "blob_admission_limit %d\n", m.AdmissionLimit())
-	}
-	if m.AdmissionQueued != nil {
-		fmt.Fprintf(&b, "# HELP blob_admission_queue_depth Requests queued for admission.\n# TYPE blob_admission_queue_depth gauge\n")
-		fmt.Fprintf(&b, "blob_admission_queue_depth %d\n", m.AdmissionQueued())
-	}
-
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
-}
-
-func atoiOr(s string) int {
-	n, _ := strconv.Atoi(s)
-	return n
-}

@@ -31,6 +31,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,7 +291,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/v1/dispatch", s.instrument("/v1/dispatch", s.recovered(s.requirePost(s.handleDispatch))))
 	mux.Handle("/healthz", s.instrument("/healthz", s.recovered(http.HandlerFunc(s.handleHealthz))))
 	mux.Handle("/readyz", s.instrument("/readyz", s.recovered(http.HandlerFunc(s.handleReadyz))))
-	mux.Handle("/metrics", s.instrument("/metrics", s.recovered(http.HandlerFunc(s.handleMetrics))))
+	mux.Handle("/metrics", s.instrument("/metrics", s.recovered(s.metrics)))
 	return mux
 }
 
@@ -345,8 +346,10 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 
 // instrument wraps a handler with the observability middleware:
 // in-flight gauge, per-endpoint request counter and latency histogram,
-// and one structured log line per request.
+// and one structured log line per request. The endpoint's histogram is
+// resolved here, once, not on every request.
 func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
+	latency := s.metrics.latency.With(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		began := time.Now()
 		s.metrics.InFlight.Inc()
@@ -354,8 +357,8 @@ func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(began)
-		s.metrics.RequestCounter(endpoint, sw.status).Inc()
-		s.metrics.LatencyHistogram(endpoint).Observe(elapsed.Seconds())
+		s.metrics.requests.With(endpoint, strconv.Itoa(sw.status)).Inc()
+		latency.Observe(elapsed.Seconds())
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -402,13 +405,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		WorkersArmed:  true,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if _, err := s.metrics.WriteTo(w); err != nil {
-		s.log.Warn("metrics write failed", "err", err)
-	}
 }
 
 // decodeJSON strict-decodes a request body of at most 1 MiB into v.

@@ -372,8 +372,8 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 		// Admission shed the leader before any sweep work ran. Quota
 		// refusals are the client's own doing (429); the rest are server
 		// capacity (503). Retry-After carries the controller's hint.
-		s.metrics.ShedCounter(string(shed.Reason)).Inc()
-		s.metrics.ClientShedCounter(client).Inc()
+		s.metrics.sheds.With(string(shed.Reason)).Inc()
+		s.metrics.clientSheds.With(client).Inc()
 		status := http.StatusServiceUnavailable
 		if shed.Reason == overload.ReasonQuota {
 			status = http.StatusTooManyRequests

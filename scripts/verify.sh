@@ -17,9 +17,9 @@
 #                      non-amd64 builds get (kernel_other.go) cannot rot
 #                      on an amd64 host; runs offline
 #   5. blob-vet      — this repo's own analyzers (see internal/analysis):
-#                      kernelargcheck, floatcompare, goroutinehygiene,
-#                      determinism, pkgdoc, ctxflow, locksafety,
-#                      hotalloc, errcontract. Every finding fails the
+#                      floatcompare, goroutinehygiene, determinism,
+#                      pkgdoc, ctxflow, locksafety, hotalloc,
+#                      errcontract. Every finding fails the
 #                      gate; a deliberate exception is suppressed only
 #                      by a justified //blobvet:allow in source
 #   6. go test       — full test suite, shuffled (-shuffle=on with a
@@ -52,7 +52,9 @@
 #                      and headers of /v1/advise, /v1/threshold and
 #                      /v1/dispatch (each reply one compact envelope
 #                      line with a documented error code, never a 500),
-#                      and the netfault plan JSON (DESIGN.md §17)
+#                      the netfault plan JSON (DESIGN.md §17), and the
+#                      /metrics exposition under arbitrary label values
+#                      (client keys are outside input)
 #  10. blob-bench    — smoke run of the standardized benchmark suite
 #                      (tiny sizes, one interleaved repetition): proves
 #                      every case still prepares, runs and serializes
@@ -160,6 +162,7 @@ go test -run='^$' -fuzz='^FuzzCheckpointResume$' -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz='^FuzzClusterWire$' -fuzztime=10s ./internal/cluster/
 go test -run='^$' -fuzz='^FuzzV1Body$' -fuzztime=10s ./internal/service/
 go test -run='^$' -fuzz='^FuzzNetfaultPlan$' -fuzztime=10s ./internal/netfault/
+go test -run='^$' -fuzz='^FuzzMetricsExposition$' -fuzztime=10s ./internal/service/
 end
 
 begin "blob-bench -smoke"
