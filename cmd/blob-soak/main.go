@@ -22,7 +22,7 @@
 //	sustain  4x capacity for the whole window, AIMD limiter engaged
 //	chaos    sustain plus a seeded fault-injection plan on the backends
 //	dispatch 4x capacity of /v1/dispatch batches: the decision hot path
-//	         must stay fast and the shape cache must absorb the repeats
+//	         must stay fast and the memo map must absorb the repeats
 //	cluster  3-replica consistent-hash cluster behind blob-gateway, with
 //	         a replica killed and rejoined mid-run: cache hits must scale
 //	         ~linearly vs a single node, every verdict must match the
@@ -69,11 +69,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/benchmark"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/resilience"
 	"repro/internal/service"
+	"repro/internal/sim/efftab"
 	"repro/internal/sim/systems"
 	"repro/pkg/blobclient"
 )
@@ -176,7 +176,7 @@ type ProfileResult struct {
 	GoroutineBaseline int     `json:"goroutine_baseline"`
 	GoroutineAfter    int     `json:"goroutine_after"`
 	// Decisions/DispatchHits/DispatchHitRate are set by the dispatch
-	// profile: total routing decisions, how many the shape cache
+	// profile: total routing decisions, how many the memo map
 	// answered, and their ratio (the profile's warm-cache SLO).
 	Decisions       int     `json:"decisions,omitempty"`
 	DispatchHits    int     `json:"dispatch_hits,omitempty"`
@@ -205,7 +205,7 @@ type ProfileResult struct {
 type Artifact struct {
 	SchemaVersion string          `json:"schema_version"`
 	GeneratedAt   time.Time       `json:"generated_at"`
-	Host          benchmark.Host  `json:"host"`
+	Host          efftab.Host     `json:"host"`
 	Seed          int64           `json:"seed"`
 	Short         bool            `json:"short"`
 	Workers       int             `json:"workers"`
@@ -249,7 +249,7 @@ func run() error {
 	art := Artifact{
 		SchemaVersion: SchemaVersion,
 		GeneratedAt:   time.Now().UTC(),
-		Host:          benchmark.CurrentHost(),
+		Host:          efftab.CurrentHost(),
 		Seed:          *seed,
 		Short:         *short,
 		Workers:       *workers,
@@ -349,7 +349,7 @@ const hotDim = 2048
 
 // The dispatch profile's working set: batches of dispatchBatchSize calls
 // drawn from dispatchShapes distinct GEMM shapes. The set is small
-// enough that the dispatcher's shape cache must absorb nearly everything
+// enough that the dispatcher's memo map must absorb nearly everything
 // after the first few batches — that warm-cache hit rate is the SLO.
 const (
 	dispatchBatchSize = 64
@@ -410,7 +410,7 @@ func runProfile(p profile, workers int, seed int64, window time.Duration, sweepC
 
 	// Warm the hot entry while the service is idle: the threshold
 	// profiles warm the result cache's hot dim, the dispatch profile
-	// warms the dispatcher's shape cache with one full-working-set batch.
+	// warms the dispatcher's memo map with one full-working-set batch.
 	warmer := blobclient.New(blobclient.Options{
 		BaseURL: ts.URL, HTTPClient: client, Breaker: soakBreakerOff})
 	var hotWarmed bool

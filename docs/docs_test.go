@@ -98,7 +98,7 @@ func TestAPIDocCoversWireContract(t *testing.T) {
 			}
 		}
 	}
-	for _, header := range []string{"X-API-Key", "X-Deadline-Ms", "X-Blob-Peer-Fill", "Retry-After", "Deprecation"} {
+	for _, header := range []string{"X-API-Key", "X-Deadline-Ms", "X-Blob-Peer-Fill", "Retry-After"} {
 		if !strings.Contains(doc, header) {
 			t.Errorf("API.md does not mention the %s header", header)
 		}

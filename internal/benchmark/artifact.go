@@ -5,8 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
+
+	"repro/internal/sim/efftab"
 )
 
 // SchemaVersion is the artifact format version. Compare refuses to gate
@@ -22,32 +23,6 @@ var (
 	ErrNoCases        = errors.New("no cases")
 	ErrNonPositiveNs  = errors.New("non-positive ns_per_op")
 )
-
-// Host records the environment an artifact was measured on — the fields a
-// reader needs to judge whether two artifacts are comparable at all
-// (GEMMbench calls this the self-describing property of a benchmark
-// artifact).
-type Host struct {
-	OS         string `json:"os"`
-	Arch       string `json:"arch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-	Hostname   string `json:"hostname,omitempty"`
-}
-
-// CurrentHost captures the running environment.
-func CurrentHost() Host {
-	hn, _ := os.Hostname()
-	return Host{
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Hostname:   hn,
-	}
-}
 
 // CaseResult is the recorded outcome of one case: steady-state latency
 // quantiles over the interleaved repetitions, allocation pressure, and —
@@ -77,7 +52,7 @@ type Artifact struct {
 	SchemaVersion int          `json:"schema_version"`
 	Tag           string       `json:"tag"`
 	CreatedUnix   int64        `json:"created_unix"`
-	Host          Host         `json:"host"`
+	Host          efftab.Host  `json:"host"`
 	Repetitions   int          `json:"repetitions"`
 	Warmup        int          `json:"warmup"`
 	Smoke         bool         `json:"smoke,omitempty"`
@@ -92,7 +67,7 @@ func NewArtifact(tag string, opt Options, cases []CaseResult) *Artifact {
 		SchemaVersion: SchemaVersion,
 		Tag:           tag,
 		CreatedUnix:   time.Now().Unix(),
-		Host:          CurrentHost(),
+		Host:          efftab.CurrentHost(),
 		Repetitions:   opt.Repetitions,
 		Warmup:        opt.Warmup,
 		Smoke:         opt.Smoke,

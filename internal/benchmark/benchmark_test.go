@@ -2,11 +2,16 @@ package benchmark
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/sim/efftab"
 )
 
 // countingCase builds a trivial case whose op appends its own name to the
@@ -127,6 +132,42 @@ func TestRunCancel(t *testing.T) {
 	_, err := Run(ctx, []Case{countingCase("a", &log)}, Options{Repetitions: 1, Warmup: 0}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCommittedArtifactHostBlock: a committed BENCH artifact parses, and
+// its host block decodes into efftab.Host with every field intact — the
+// shared host type reads old artifacts unchanged.
+func TestCommittedArtifactHostBlock(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCH_pr35.json")
+	art, err := ReadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := efftab.Host{OS: "linux", Arch: "amd64", NumCPU: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", Hostname: "vm"}
+	if art.Host != want {
+		t.Fatalf("host block = %+v, want %+v", art.Host, want)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Host map[string]any `json:"host"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var back map[string]any
+	enc, err := json.Marshal(art.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(enc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, doc.Host) {
+		t.Fatalf("host block does not round-trip: read %v, re-encoded %v", doc.Host, back)
 	}
 }
 

@@ -302,7 +302,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key string, body
 // tagging the serving peer in X-Blob-Peer.
 func (g *Gateway) relay(w http.ResponseWriter, resp *http.Response, peer string) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", "Deprecation", "Link", "Allow"} {
+	for _, h := range []string{"Content-Type", "Retry-After", "Allow"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

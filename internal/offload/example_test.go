@@ -13,7 +13,7 @@ import (
 // Example is the README's "Dispatch routing" snippet, compiled: build one
 // long-lived dispatcher per system and route every BLAS call group
 // through it. The first sighting of a shape evaluates the timing models;
-// replays are answered from the shape cache, and verdicts near the
+// replays are answered from the memo map, and verdicts near the
 // offload threshold are held by hysteresis instead of flapping.
 func Example() {
 	sys, err := systems.ByName("isambard-ai")

@@ -12,18 +12,19 @@
 // per-call consultation cheap and stable:
 //
 //   - Memoization. Applications replay the same handful of call shapes
-//     millions of times, so verdicts are memoized in a compact
-//     seen-shape structure: a Bloom filter answers "never seen" without
-//     touching shared state (the way Stream-K++ uses Bloom filters to
-//     skip already-covered work, PAPERS.md), and a small sharded, set-associative
-//     exact cache serves repeat shapes lock-light and allocation-free.
+//     millions of times, so verdicts are memoized in one map keyed by
+//     the Call value itself: two shapes share a verdict only when every
+//     field agrees. A shape's first sighting inserts its entry before
+//     evaluating, so concurrent callers of that shape wait for the one
+//     evaluation instead of repeating it. The map holds at most
+//     memoBound entries; a full map is cleared before the next insert.
 //
 //   - Hysteresis. Near the offload threshold the two modeled times are
 //     within noise of each other, and a raw per-call argmin would flap
 //     between devices — costly when each flip moves a working set. A
-//     verdict only switches device when the challenger wins by a
-//     configurable margin, so a ramp of shapes crossing the threshold
-//     switches at most once in each direction.
+//     verdict only switches device when the challenger wins by a 10%
+//     margin, so a ramp of shapes crossing the threshold switches at
+//     most once in each direction.
 //
 //   - First-touch/USM placement awareness. Under unified memory the
 //     first kernel after placement pays page-fault migration for the
@@ -93,9 +94,9 @@ type Decision struct {
 	GPUSeconds float64
 	// Speedup is CPUSeconds/GPUSeconds: values above 1 favour the GPU.
 	Speedup float64
-	// Cached reports the verdict was served from the seen-shape cache
-	// (or shared with a concurrent evaluation of the same shape) rather
-	// than evaluated against the timing models.
+	// Cached reports the verdict was served from the memo map (or shared
+	// with a concurrent evaluation of the same shape) rather than
+	// evaluated against the timing models.
 	Cached bool
 	// Held reports that hysteresis kept the previous device even though
 	// the raw model comparison preferred the other one.
@@ -112,13 +113,6 @@ type Options struct {
 	// System is the machine whose timing models decide placement
 	// (required).
 	System systems.System
-	// Margin is the hysteresis band: once a device holds a shape-class
-	// verdict, the other device must be better by this relative margin
-	// to take it over (default 0.10, i.e. 10% faster).
-	Margin float64
-	// CacheEntries bounds the exact seen-shape cache (default 8192,
-	// rounded up to a power of two; minimum 256).
-	CacheEntries int
 	// Evaluate replaces the timing-model evaluation (tests only).
 	Evaluate EvaluateFunc
 }
@@ -127,14 +121,11 @@ type Options struct {
 type Stats struct {
 	// Decisions counts calls routed (errors excluded).
 	Decisions uint64
-	// CacheHits counts decisions served from the exact seen-shape cache.
+	// CacheHits counts decisions served from a finished memo entry.
 	CacheHits uint64
-	// SharedHits counts decisions that joined a concurrent evaluation of
-	// the same shape instead of evaluating twice.
+	// SharedHits counts decisions that waited on a concurrent evaluation
+	// of the same shape instead of evaluating twice.
 	SharedHits uint64
-	// BloomNegatives counts decisions where the Bloom filter proved the
-	// shape had never been seen, skipping the exact-cache probe.
-	BloomNegatives uint64
 	// Evaluations counts timing-model evaluations — at most one per
 	// distinct shape while it stays cached.
 	Evaluations uint64
@@ -148,13 +139,19 @@ type Stats struct {
 // kernel x precision x transfer strategy.
 const classCount = 2 * 2 * 3
 
+// margin is the hysteresis band: once a device holds a shape-class
+// verdict, the other device must be this much faster to take it over.
+const margin = 0.10
+
+// memoBound caps the memo map. /v1/dispatch feeds it outside input, so
+// a full map is cleared before the next insert rather than grown.
+const memoBound = 8192
+
 // Dispatcher routes BLAS calls between CPU and GPU for one system.
 // Construct with New; methods are safe for concurrent use.
 type Dispatcher struct {
 	sys      systems.System
 	evaluate EvaluateFunc
-	margin   float64
-	cache    *shapeCache
 
 	// last holds the hysteresis state per shape class: 0 (no verdict
 	// yet) or a Device. Concurrent updates race benignly — the state is
@@ -162,16 +159,16 @@ type Dispatcher struct {
 	// case hysteresis exists for, are deterministic.
 	last [classCount]atomic.Uint32
 
-	inflightMu sync.Mutex
-	inflight   map[uint64]*inflightCall
+	mu   sync.Mutex
+	memo map[Call]*entry
 
-	decisions, cacheHits, sharedHits, bloomNegatives atomic.Uint64
-	evaluations, holds, switches                     atomic.Uint64
+	decisions, cacheHits, sharedHits atomic.Uint64
+	evaluations, holds, switches     atomic.Uint64
 }
 
-// inflightCall is one in-progress evaluation that concurrent callers of
-// the same shape wait on instead of evaluating again.
-type inflightCall struct {
+// entry is one memoized shape. dec is written once, before done closes;
+// readers touch it only after done is closed.
+type entry struct {
 	done chan struct{}
 	dec  Decision
 }
@@ -181,15 +178,10 @@ func New(opts Options) *Dispatcher {
 	if opts.Evaluate == nil {
 		opts.Evaluate = advisor.Times
 	}
-	if opts.Margin <= 0 {
-		opts.Margin = 0.10
-	}
 	return &Dispatcher{
 		sys:      opts.System,
 		evaluate: opts.Evaluate,
-		margin:   opts.Margin,
-		cache:    newShapeCache(opts.CacheEntries),
-		inflight: map[uint64]*inflightCall{},
+		memo:     map[Call]*entry{},
 	}
 }
 
@@ -212,11 +204,12 @@ func (d *Dispatcher) Gemv(ctx context.Context, prec core.Precision, m, n, count 
 	})
 }
 
-// Decide routes one call. The hot path — a shape seen before — is two
-// atomic Bloom probes and one sharded cache lookup, allocation-free; a
-// cold shape evaluates the timing models once, applies the residency
-// adjustment and hysteresis, and memoizes the verdict. A cancelled
-// context returns its error without touching dispatcher state.
+// Decide routes one call. The hot path — a shape seen before — is one
+// locked map lookup, allocation-free; a shape's first sighting evaluates
+// the timing models once, applies the residency adjustment and
+// hysteresis, and memoizes the verdict, while concurrent callers of the
+// same shape wait for that evaluation. A cancelled context returns its
+// error without touching dispatcher state.
 //
 //blobvet:hotpath
 func (d *Dispatcher) Decide(ctx context.Context, c Call) (Decision, error) {
@@ -226,57 +219,40 @@ func (d *Dispatcher) Decide(ctx context.Context, c Call) (Decision, error) {
 	if err := c.Validate(); err != nil {
 		return Decision{}, err
 	}
-	key := shapeKey(c)
-	if d.cache.mightContain(key) {
-		if dec, ok := d.cache.get(key); ok {
-			d.decisions.Add(1)
-			d.cacheHits.Add(1)
-			dec.Cached = true
-			return dec, nil
-		}
-	} else {
-		d.bloomNegatives.Add(1)
+	d.mu.Lock()
+	e, seen := d.memo[c]
+	if !seen {
+		e = d.insert(c)
 	}
-	dec := d.computeShared(key, c)
+	d.mu.Unlock()
 	d.decisions.Add(1)
+	if !seen {
+		e.dec = d.evaluateCall(c)
+		close(e.done)
+		return e.dec, nil
+	}
+	select {
+	case <-e.done:
+		d.cacheHits.Add(1)
+	default:
+		<-e.done
+		d.sharedHits.Add(1)
+	}
+	dec := e.dec
+	dec.Cached = true
 	return dec, nil
 }
 
-// computeShared evaluates one cold shape, deduplicating concurrent
-// callers of the same key singleflight-style: the first caller becomes
-// the leader and evaluates; the rest wait on its result. The cache is
-// consulted again under inflightMu: a leader stores its verdict before it
-// retires its flight, so a caller that missed the cache while that flight
-// was still running finds the verdict here instead of starting a second
-// evaluation.
-func (d *Dispatcher) computeShared(key uint64, c Call) Decision {
-	d.inflightMu.Lock()
-	if dec, ok := d.cache.get(key); ok {
-		d.inflightMu.Unlock()
-		d.cacheHits.Add(1)
-		dec.Cached = true
-		return dec
+// insert adds a pending entry for a first sighting, clearing a full map
+// first; callers already waiting on an evicted entry keep their pointer.
+// Caller holds d.mu.
+func (d *Dispatcher) insert(c Call) *entry {
+	if len(d.memo) >= memoBound {
+		clear(d.memo)
 	}
-	if fl, ok := d.inflight[key]; ok {
-		d.inflightMu.Unlock()
-		<-fl.done
-		d.sharedHits.Add(1)
-		dec := fl.dec
-		dec.Cached = true
-		return dec
-	}
-	fl := &inflightCall{done: make(chan struct{})}
-	d.inflight[key] = fl
-	d.inflightMu.Unlock()
-
-	fl.dec = d.evaluateCall(c)
-	d.cache.put(key, fl.dec)
-
-	d.inflightMu.Lock()
-	delete(d.inflight, key)
-	d.inflightMu.Unlock()
-	close(fl.done)
-	return fl.dec
+	e := &entry{done: make(chan struct{})}
+	d.memo[c] = e
+	return e
 }
 
 // evaluateCall prices the call, applies the USM residency adjustment and
@@ -331,9 +307,9 @@ func (d *Dispatcher) applyHysteresis(class int, raw Device, cpu, gpu float64) De
 		if prev != 0 && prev != raw {
 			switches := false
 			if raw == GPU {
-				switches = gpu*(1+d.margin) < cpu
+				switches = gpu*(1+margin) < cpu
 			} else {
-				switches = cpu*(1+d.margin) < gpu
+				switches = cpu*(1+margin) < gpu
 			}
 			if !switches {
 				chosen = prev
@@ -367,13 +343,12 @@ func classIndex(c Call) int {
 // Stats snapshots the dispatcher's counters.
 func (d *Dispatcher) Stats() Stats {
 	return Stats{
-		Decisions:      d.decisions.Load(),
-		CacheHits:      d.cacheHits.Load(),
-		SharedHits:     d.sharedHits.Load(),
-		BloomNegatives: d.bloomNegatives.Load(),
-		Evaluations:    d.evaluations.Load(),
-		Holds:          d.holds.Load(),
-		Switches:       d.switches.Load(),
+		Decisions:   d.decisions.Load(),
+		CacheHits:   d.cacheHits.Load(),
+		SharedHits:  d.sharedHits.Load(),
+		Evaluations: d.evaluations.Load(),
+		Holds:       d.holds.Load(),
+		Switches:    d.switches.Load(),
 	}
 }
 

@@ -3,7 +3,9 @@ package offload
 import (
 	"context"
 	"math"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,10 +41,10 @@ func scriptedEvaluate(cpu, gpu func(c advisor.Call) float64) EvaluateFunc {
 	}
 }
 
-// TestHysteresisRampSwitchesOncePerDirection is the issue's table test:
-// shape ramps that cross the offload threshold — including ramps whose
-// raw comparison flaps near the crossing — must switch device at most
-// once on the way up and at most once on the way down.
+// TestHysteresisRampSwitchesOncePerDirection: shape ramps that cross the
+// offload threshold — including ramps whose raw comparison flaps near the
+// crossing — must switch device at most once on the way up and at most
+// once on the way down, at the dispatcher's fixed 10% margin.
 func TestHysteresisRampSwitchesOncePerDirection(t *testing.T) {
 	wobble := func(m int) float64 {
 		if m%2 == 0 {
@@ -52,42 +54,37 @@ func TestHysteresisRampSwitchesOncePerDirection(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
-		margin   float64
 		cpu, gpu func(c advisor.Call) float64
 		from, to int
 		step     int
 	}{
 		{
 			// Clean monotone crossing at m=100.
-			name:   "clean-crossing",
-			margin: 0.10,
-			cpu:    func(c advisor.Call) float64 { return float64(c.M) },
-			gpu:    func(c advisor.Call) float64 { return 100 },
-			from:   10, to: 400, step: 2,
+			name: "clean-crossing",
+			cpu:  func(c advisor.Call) float64 { return float64(c.M) },
+			gpu:  func(c advisor.Call) float64 { return 100 },
+			from: 10, to: 400, step: 2,
 		},
 		{
 			// The raw argmin flaps every step between m=94 and m=106;
-			// a 15% margin must ride straight through the noise.
-			name:   "noisy-crossing",
-			margin: 0.15,
-			cpu:    func(c advisor.Call) float64 { return float64(c.M) },
-			gpu:    func(c advisor.Call) float64 { return 100 + wobble(c.M) },
-			from:   40, to: 260, step: 1,
+			// the margin must ride straight through the noise.
+			name: "noisy-crossing",
+			cpu:  func(c advisor.Call) float64 { return float64(c.M) },
+			gpu:  func(c advisor.Call) float64 { return 100 + wobble(c.M) },
+			from: 40, to: 260, step: 1,
 		},
 		{
 			// GPU favoured from the start: no crossing, no switches.
-			name:   "no-crossing",
-			margin: 0.10,
-			cpu:    func(c advisor.Call) float64 { return float64(c.M) * 2 },
-			gpu:    func(c advisor.Call) float64 { return 1 },
-			from:   10, to: 200, step: 2,
+			name: "no-crossing",
+			cpu:  func(c advisor.Call) float64 { return float64(c.M) * 2 },
+			gpu:  func(c advisor.Call) float64 { return 1 },
+			from: 10, to: 200, step: 2,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := New(Options{
 				System:   mustSystem(t, "dawn"),
-				Margin:   tc.margin,
 				Evaluate: scriptedEvaluate(tc.cpu, tc.gpu),
 			})
 			ctx := context.Background()
@@ -117,7 +114,7 @@ func TestHysteresisRampSwitchesOncePerDirection(t *testing.T) {
 				t.Errorf("upward ramp switched %d times, want at most 1", got)
 			}
 			// The downward ramp revisits memoized shapes; their verdicts
-			// replay from the cache in reverse order, which is exactly one
+			// replay from the memo map in reverse order, which is exactly one
 			// switch back if the upward ramp switched once.
 			if got := countSwitches(down); got > 1 {
 				t.Errorf("downward ramp switched %d times, want at most 1", got)
@@ -133,7 +130,6 @@ func TestHysteresisHoldsNearThreshold(t *testing.T) {
 	gpuT := 100.0
 	d := New(Options{
 		System: mustSystem(t, "dawn"),
-		Margin: 0.10,
 		Evaluate: scriptedEvaluate(
 			func(c advisor.Call) float64 { return float64(c.M) },
 			func(c advisor.Call) float64 { return gpuT },
@@ -210,9 +206,6 @@ func TestMemoization(t *testing.T) {
 	if st.CacheHits != uint64(5*len(shapes)) {
 		t.Fatalf("cache hits = %d, want %d", st.CacheHits, 5*len(shapes))
 	}
-	if st.BloomNegatives == 0 {
-		t.Fatal("cold shapes should register bloom negatives")
-	}
 }
 
 // TestConcurrentSingleflight: N goroutines dispatching the same small
@@ -251,47 +244,71 @@ func TestConcurrentSingleflight(t *testing.T) {
 	}
 }
 
-// TestSingleflightLateCallerUsesCache forces the window between Decide's
-// cache miss and computeShared's flight lookup: the caller misses the
-// cache while the leader is still evaluating, and reaches computeShared
-// only after the leader has stored its verdict and retired its flight.
-// The late caller must answer from the cache, not evaluate a second time.
-func TestSingleflightLateCallerUsesCache(t *testing.T) {
+// TestSharedFirstSighting: a caller that arrives while the leader is
+// still evaluating a shape blocks on the leader's entry, then returns the
+// leader's verdict marked Cached, counted as one SharedHits, without a
+// second evaluation.
+func TestSharedFirstSighting(t *testing.T) {
 	var evals atomic.Int64
 	evaluating, release := make(chan struct{}), make(chan struct{})
 	d := New(Options{
 		System: mustSystem(t, "dawn"),
 		Evaluate: func(sys systems.System, c advisor.Call) (float64, float64) {
-			if evals.Add(1) == 1 {
-				close(evaluating)
-				<-release
-			}
+			evals.Add(1)
+			close(evaluating)
+			<-release
 			return advisor.Times(sys, c)
 		},
 	})
 	c := gemmCall(96, 96, 96)
-	key := shapeKey(c)
-	leader := make(chan Decision)
-	go func() {
+	decide := func(out chan<- Decision) {
 		dec, err := d.Decide(context.Background(), c)
 		if err != nil {
 			t.Error(err)
 		}
-		leader <- dec
-	}()
+		out <- dec
+	}
+	leader, waiter := make(chan Decision), make(chan Decision)
+	go decide(leader)
 	<-evaluating
-	if _, ok := d.cache.get(key); ok {
-		t.Fatal("verdict cached while the leader is still evaluating")
+	go decide(waiter)
+	waitBlockedInDecide(t)
+	select {
+	case dec := <-waiter:
+		t.Fatalf("waiter returned %+v before the leader finished", dec)
+	default:
 	}
 	close(release)
-	first := <-leader
-	late := d.computeShared(key, c)
+	first, shared := <-leader, <-waiter
 	if got := evals.Load(); got != 1 {
 		t.Fatalf("evaluations = %d, want exactly 1", got)
 	}
-	if !late.Cached || late.Device != first.Device {
-		t.Fatalf("late caller got %+v, want the leader's cached verdict %+v", late, first)
+	if first.Cached || !shared.Cached || shared.Device != first.Device {
+		t.Fatalf("leader %+v, waiter %+v: want the waiter to share the leader's verdict", first, shared)
 	}
+	if st := d.Stats(); st.SharedHits != 1 || st.CacheHits != 0 || st.Decisions != 2 {
+		t.Fatalf("stats %+v, want 1 shared hit, 0 cache hits, 2 decisions", st)
+	}
+}
+
+// waitBlockedInDecide returns once some goroutine is parked on a channel
+// receive directly inside Decide — a caller waiting on another caller's
+// evaluation. It reads goroutine states, so it needs no sleeps.
+func waitBlockedInDecide(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			lines := strings.SplitN(g, "\n", 3)
+			if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") &&
+				strings.HasPrefix(lines[1], "repro/internal/offload.(*Dispatcher).Decide(") {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+	t.Fatal("no caller blocked in Decide waiting on a shared evaluation")
 }
 
 // TestResidencyLowersUSMThreshold: under Unified transfer, a resident
@@ -299,7 +316,7 @@ func TestSingleflightLateCallerUsesCache(t *testing.T) {
 // a shape that a cold placement keeps on the CPU can become offloadable.
 func TestResidencyLowersUSMThreshold(t *testing.T) {
 	sys := mustSystem(t, "isambard-ai")
-	d := New(Options{System: sys, Margin: 1e-9})
+	d := New(Options{System: sys})
 	ctx := context.Background()
 
 	usmCall := func(n int, resident bool) Call {
@@ -342,14 +359,15 @@ func TestResidencyLowersUSMThreshold(t *testing.T) {
 	}
 }
 
-// TestDecideAgreesWithAdvisor: away from the hysteresis band, the
+// TestDecideAgreesWithAdvisor: with no incumbent verdict to hold, the
 // dispatcher's verdict must be the advisor's verdict — the façade adds
-// stability and caching, not a different policy.
+// stability and memoization, not a different policy. Each shape gets a
+// fresh dispatcher, so hysteresis never applies.
 func TestDecideAgreesWithAdvisor(t *testing.T) {
 	sys := mustSystem(t, "dawn")
-	d := New(Options{System: sys, Margin: 1e-9})
 	ctx := context.Background()
 	for _, n := range []int{8, 32, 128, 512, 2048} {
+		d := New(Options{System: sys})
 		c := advisor.Call{Kernel: core.GEMM, M: n, N: n, K: n,
 			Precision: core.F64, Count: 8, Strategy: xfer.TransferOnce}
 		want, err := advisor.Advise(sys, c)
@@ -421,10 +439,10 @@ func TestCachedDecisionLatency(t *testing.T) {
 	// shape yet: the n-th repeat of a shape goes to the n-th cold one.
 	var cold []*Dispatcher
 	coldFor := make([]*Dispatcher, len(calls))
-	seen := map[uint64]int{}
+	seen := map[Call]int{}
 	for i, c := range calls {
-		n := seen[shapeKey(c)]
-		seen[shapeKey(c)] = n + 1
+		n := seen[c]
+		seen[c] = n + 1
 		if n == len(cold) {
 			cold = append(cold, New(Options{System: sys}))
 		}
@@ -468,11 +486,24 @@ func TestCachedDecisionLatency(t *testing.T) {
 	}
 }
 
-// TestShapeKeyDistinguishes: every field of the call identity must feed
-// the key.
+// countingDispatcher returns a dispatcher whose evaluations are
+// counted in evals.
+func countingDispatcher(t *testing.T, evals *atomic.Int64) *Dispatcher {
+	return New(Options{
+		System: mustSystem(t, "dawn"),
+		Evaluate: func(sys systems.System, c advisor.Call) (float64, float64) {
+			evals.Add(1)
+			return advisor.Times(sys, c)
+		},
+	})
+}
+
+// TestShapeKeyDistinguishes: every field of the call identity is part of
+// the memo key, so each one-field variant costs its own evaluation.
 func TestShapeKeyDistinguishes(t *testing.T) {
 	base := gemmCall(64, 32, 16)
 	variants := []Call{
+		base,
 		gemmCall(65, 32, 16),
 		gemmCall(64, 33, 16),
 		gemmCall(64, 32, 17),
@@ -493,42 +524,60 @@ func TestShapeKeyDistinguishes(t *testing.T) {
 	c.Call.Kernel, c.Call.K = core.GEMV, 0
 	variants = append(variants, c)
 
-	seen := map[uint64]bool{shapeKey(base): true}
+	var evals atomic.Int64
+	d := countingDispatcher(t, &evals)
 	for i, v := range variants {
-		k := shapeKey(v)
-		if seen[k] {
-			t.Errorf("variant %d collides", i)
+		dec, err := d.Decide(context.Background(), v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[k] = true
+		if dec.Cached || evals.Load() != int64(i+1) {
+			t.Errorf("variant %d shared a verdict: cached=%v evaluations=%d", i, dec.Cached, evals.Load())
+		}
 	}
 }
 
-// TestCacheEviction: overflowing a tiny cache evicts rather than grows,
-// and evicted shapes simply re-evaluate.
+// TestCacheEviction: the memo map never holds more than memoBound entries.
+// Overflowing it clears the map, so the first shape evaluates again.
 func TestCacheEviction(t *testing.T) {
 	var evals atomic.Int64
-	d := New(Options{
-		System:       mustSystem(t, "dawn"),
-		CacheEntries: 256, // the minimum
-		Evaluate: func(sys systems.System, c advisor.Call) (float64, float64) {
-			evals.Add(1)
-			return advisor.Times(sys, c)
-		},
-	})
+	d := countingDispatcher(t, &evals)
 	ctx := context.Background()
-	for i := 0; i < 4096; i++ {
+	for i := 0; i <= memoBound; i++ {
 		if _, err := d.Decide(ctx, gemmCall(8+i, 32, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if evals.Load() != 4096 {
+	if got := len(d.memo); got > memoBound {
+		t.Fatalf("memo holds %d entries, want at most %d", got, memoBound)
+	}
+	if evals.Load() != memoBound+1 {
 		t.Fatalf("distinct shapes must each evaluate once, got %d", evals.Load())
 	}
-	// Replay: most are evicted (256-entry cache, 4096 shapes) and
-	// re-evaluate without error; some tail shapes may still hit.
-	for i := 4000; i < 4096; i++ {
-		if _, err := d.Decide(ctx, gemmCall(8+i, 32, 32)); err != nil {
+	dec, err := d.Decide(ctx, gemmCall(8, 32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Cached || evals.Load() != memoBound+2 {
+		t.Fatalf("first shape after overflow: cached=%v evaluations=%d, want a fresh evaluation", dec.Cached, evals.Load())
+	}
+}
+
+// TestWarmDecideDoesNotAllocate: a memoized shape is answered without a heap
+// allocation.
+func TestWarmDecideDoesNotAllocate(t *testing.T) {
+	d := New(Options{System: mustSystem(t, "dawn")})
+	ctx := context.Background()
+	c := gemmCall(128, 128, 128)
+	if _, err := d.Decide(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.Decide(ctx, c); err != nil {
 			t.Fatal(err)
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Decide made %v allocations, want 0", allocs)
 	}
 }

@@ -20,13 +20,13 @@ type costEstimator struct {
 	full    bool
 }
 
-func newCostEstimator(window int) *costEstimator {
-	if window < 1 {
-		window = 32
-	}
+// costWindow is the number of recent sweeps the p50 is taken over.
+const costWindow = 32
+
+func newCostEstimator() *costEstimator {
 	return &costEstimator{
-		samples: make([]time.Duration, window),
-		scratch: make([]time.Duration, 0, window),
+		samples: make([]time.Duration, costWindow),
+		scratch: make([]time.Duration, 0, costWindow),
 	}
 }
 

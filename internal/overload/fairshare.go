@@ -18,7 +18,6 @@ import (
 type fairShare struct {
 	rate  float64 // tokens per second per client; <= 0 disables the layer
 	burst float64
-	max   int // bucket table bound
 	clock resilience.Clock
 
 	mu      sync.Mutex
@@ -32,17 +31,16 @@ type bucket struct {
 	last   time.Time
 }
 
-func newFairShare(rate float64, burst float64, maxClients int, clock resilience.Clock) *fairShare {
+// maxClients bounds the bucket table.
+const maxClients = 1024
+
+func newFairShare(rate float64, burst float64, clock resilience.Clock) *fairShare {
 	if burst < 1 {
 		burst = 1
-	}
-	if maxClients < 1 {
-		maxClients = 1024
 	}
 	return &fairShare{
 		rate:    rate,
 		burst:   burst,
-		max:     maxClients,
 		clock:   clock,
 		buckets: map[string]*list.Element{},
 		order:   list.New(),
@@ -66,7 +64,7 @@ func (f *fairShare) allow(client string) (ok bool, retryAfter time.Duration) {
 		//blobvet:allow hotalloc: one bucket per new client, amortized over its whole session and bounded by the LRU table
 		el = f.order.PushFront(&bucket{client: client, tokens: f.burst, last: now})
 		f.buckets[client] = el
-		for f.order.Len() > f.max {
+		for f.order.Len() > maxClients {
 			oldest := f.order.Back()
 			f.order.Remove(oldest)
 			delete(f.buckets, oldest.Value.(*bucket).client)

@@ -18,11 +18,8 @@ type LimiterConfig struct {
 	Min, Max int
 	// Target is the sweep-latency setpoint: completions under it grow the
 	// limit additively (+1 per limit's worth of completions), completions
-	// over it shrink it multiplicatively by Backoff. 0 disables
-	// adaptation.
+	// over it halve it. 0 disables adaptation.
 	Target time.Duration
-	// Backoff is the multiplicative-decrease factor in (0,1), default 0.5.
-	Backoff float64
 	// Cooldown is the minimum spacing between multiplicative decreases
 	// (default Target), so one burst of slow completions counts as one
 	// congestion signal instead of collapsing the limit to Min.
@@ -37,9 +34,6 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	}
 	if c.Max < c.Min {
 		c.Max = c.Min
-	}
-	if c.Backoff <= 0 || c.Backoff >= 1 {
-		c.Backoff = 0.5
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = c.Target
@@ -118,7 +112,7 @@ func (l *Limiter) observe(latency time.Duration) {
 			return
 		}
 		l.lastDecrease = now
-		l.limit = math.Max(float64(l.cfg.Min), l.limit*l.cfg.Backoff)
+		l.limit = math.Max(float64(l.cfg.Min), l.limit/2)
 		return
 	}
 	// Additive increase spread over the current limit's worth of

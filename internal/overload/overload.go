@@ -82,30 +82,22 @@ func (e *ShedError) Error() string {
 
 // Config tunes a Controller. The zero value gives a 2-wide ceiling, an
 // 8-deep queue, no latency adaptation and no fair-share enforcement.
+// The AIMD floor is one slot, and a multiplicative decrease halves the
+// limit at most once per TargetLatency.
 type Config struct {
 	// MaxConcurrent is the concurrency ceiling (the worker-pool size);
-	// MinConcurrent is the AIMD floor. Defaults 2 and 1.
-	MaxConcurrent, MinConcurrent int
+	// default 2.
+	MaxConcurrent int
 	// TargetLatency is the AIMD setpoint for sweep latency; 0 pins the
 	// limit at MaxConcurrent (no adaptation).
 	TargetLatency time.Duration
-	// Backoff and Cooldown shape the multiplicative decrease (see
-	// LimiterConfig).
-	Backoff  float64
-	Cooldown time.Duration
-	// QueueCap bounds the LIFO admission queue (default 8; 0 keeps the
-	// default — use ShedAtLimit for a queueless controller).
+	// QueueCap bounds the LIFO admission queue (default 8).
 	QueueCap int
-	// ShedAtLimit disables queueing entirely: at the limit, shed.
-	ShedAtLimit bool
 	// FairShareRate is each client's token refill rate in tokens/second;
 	// <= 0 disables the fair-share layer. FairShareBurst is the bucket
-	// size (default 4); MaxClients bounds the bucket table (default 1024).
+	// size (default 4); the bucket table holds at most 1024 clients.
 	FairShareRate  float64
 	FairShareBurst int
-	MaxClients     int
-	// CostWindow is the p50 estimator's sample window (default 32).
-	CostWindow int
 	// Clock replaces time.Now everywhere in the layer (tests).
 	Clock resilience.Clock
 }
@@ -114,14 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent < 1 {
 		c.MaxConcurrent = 2
 	}
-	if c.MinConcurrent < 1 {
-		c.MinConcurrent = 1
-	}
-	if c.QueueCap < 1 && !c.ShedAtLimit {
+	if c.QueueCap < 1 {
 		c.QueueCap = 8
-	}
-	if c.ShedAtLimit {
-		c.QueueCap = 0
 	}
 	if c.FairShareBurst < 1 {
 		c.FairShareBurst = 4
@@ -169,15 +155,12 @@ func New(cfg Config) *Controller {
 	return &Controller{
 		cfg: cfg,
 		limiter: NewLimiter(LimiterConfig{
-			Min:      cfg.MinConcurrent,
-			Max:      cfg.MaxConcurrent,
-			Target:   cfg.TargetLatency,
-			Backoff:  cfg.Backoff,
-			Cooldown: cfg.Cooldown,
-			Clock:    cfg.Clock,
+			Max:    cfg.MaxConcurrent,
+			Target: cfg.TargetLatency,
+			Clock:  cfg.Clock,
 		}),
-		costs: newCostEstimator(cfg.CostWindow),
-		fair:  newFairShare(cfg.FairShareRate, float64(cfg.FairShareBurst), cfg.MaxClients, cfg.Clock),
+		costs: newCostEstimator(),
+		fair:  newFairShare(cfg.FairShareRate, float64(cfg.FairShareBurst), cfg.Clock),
 	}
 }
 

@@ -16,21 +16,31 @@ func shedReason(t *testing.T, err error) Reason {
 	return shed.Reason
 }
 
+// TestControllerAdmitsUpToLimit: the controller admits MaxConcurrent
+// permits, queues QueueCap waiters behind them and sheds the next caller
+// with queue_full; a release hands its slot to the queued waiter.
 func TestControllerAdmitsUpToLimit(t *testing.T) {
-	c := New(Config{MaxConcurrent: 2, ShedAtLimit: true})
-	p1, err := c.Acquire(context.Background(), Ticket{Client: "a"})
+	c := New(Config{MaxConcurrent: 2, QueueCap: 1})
+	ctx := context.Background()
+	p1, err := c.Acquire(ctx, Ticket{Client: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Acquire(context.Background(), Ticket{Client: "a"}); err != nil {
+	if _, err := c.Acquire(ctx, Ticket{Client: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Acquire(context.Background(), Ticket{Client: "a"}); shedReason(t, err) != ReasonQueueFull {
-		t.Fatalf("third acquire: %v, want queue_full shed", err)
+	queued := make(chan error, 1)
+	go func() {
+		_, err := c.Acquire(ctx, Ticket{Client: "a"})
+		queued <- err
+	}()
+	waitDepth(t, c, 1)
+	if _, err := c.Acquire(ctx, Ticket{Client: "a"}); shedReason(t, err) != ReasonQueueFull {
+		t.Fatalf("fourth acquire: %v, want queue_full shed", err)
 	}
 	p1.Release(time.Millisecond)
-	if _, err := c.Acquire(context.Background(), Ticket{Client: "a"}); err != nil {
-		t.Fatalf("acquire after release: %v", err)
+	if err := <-queued; err != nil {
+		t.Fatalf("queued acquire after release: %v", err)
 	}
 	if got := c.Inflight(); got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
@@ -232,16 +242,37 @@ func TestControllerClose(t *testing.T) {
 	c.Close() // idempotent
 }
 
+// TestPermitIdempotent: releasing or cancelling a permit more than once
+// frees its slot once, so a queued waiter gets exactly that one slot.
 func TestPermitIdempotent(t *testing.T) {
-	c := New(Config{MaxConcurrent: 2, ShedAtLimit: true})
-	p, err := c.Acquire(context.Background(), Ticket{Client: "a"})
+	c := New(Config{MaxConcurrent: 1, QueueCap: 1})
+	ctx := context.Background()
+	p, err := c.Acquire(ctx, Ticket{Client: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	granted := make(chan *Permit, 1)
+	go func() {
+		w, err := c.Acquire(ctx, Ticket{Client: "b"})
+		if err != nil {
+			t.Error(err)
+		}
+		granted <- w
+	}()
+	waitDepth(t, c, 1)
 	p.Release(time.Millisecond)
 	p.Release(time.Millisecond)
 	p.Cancel()
+	w := <-granted
+	if w == nil {
+		t.FailNow()
+	}
+	if got := c.Inflight(); got != 1 {
+		t.Fatalf("inflight after double release = %d, want the waiter's 1", got)
+	}
+	w.Release(time.Millisecond)
+	w.Cancel()
 	if got := c.Inflight(); got != 0 {
-		t.Fatalf("inflight after double release = %d, want 0", got)
+		t.Fatalf("inflight after the waiter's double release = %d, want 0", got)
 	}
 }

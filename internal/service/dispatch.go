@@ -12,7 +12,7 @@ import (
 // takes a batch of BLAS call shapes for one system and answers, per
 // call, which device an auto-offload runtime should route it to. The
 // server keeps one long-lived offload.Dispatcher per system, so the
-// hysteresis state and the seen-shape cache persist across requests —
+// hysteresis state and the memo map persist across requests —
 // repeated production traffic converges to pure cache hits, which is
 // the point of the endpoint.
 
@@ -40,7 +40,7 @@ type DecisionBody struct {
 	CPUSeconds float64 `json:"cpu_seconds"`
 	GPUSeconds float64 `json:"gpu_seconds"`
 	Speedup    float64 `json:"speedup"`
-	// Cached marks a decision replayed from the seen-shape cache (or
+	// Cached marks a decision replayed from the dispatcher's memo map (or
 	// shared with a concurrent evaluation of the same shape).
 	Cached bool `json:"cached,omitempty"`
 	// Held marks a verdict the hysteresis band kept on the incumbent
@@ -56,7 +56,7 @@ type DispatchResponse struct {
 	// Offloaded counts the batch's GPU verdicts.
 	Offloaded int `json:"offloaded"`
 	// CacheHits counts the batch's decisions answered from the
-	// dispatcher's seen-shape structure.
+	// dispatcher's memo map.
 	CacheHits int `json:"cache_hits"`
 }
 
@@ -67,12 +67,7 @@ func (s *Server) dispatcher(sys systems.System) *offload.Dispatcher {
 	defer s.dispatchMu.Unlock()
 	d, ok := s.dispatchers[sys.Name]
 	if !ok {
-		d = offload.New(offload.Options{
-			System:       sys,
-			Margin:       s.opts.DispatchMargin,
-			CacheEntries: s.opts.DispatchCacheEntries,
-			Evaluate:     s.opts.DispatchEvaluate,
-		})
+		d = offload.New(offload.Options{System: sys, Evaluate: s.opts.DispatchEvaluate})
 		s.dispatchers[sys.Name] = d
 	}
 	return d

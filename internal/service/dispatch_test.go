@@ -65,7 +65,7 @@ func TestDispatchHappyPath(t *testing.T) {
 // TestDispatchBatchDedup is the issue's 5k-shape acceptance: a 5000-call
 // batch cycling 250 distinct shapes, sent concurrently by four clients,
 // evaluates the timing models exactly 250 times — every other decision
-// is answered by the seen-shape cache or joins an in-flight evaluation
+// is answered by the memo map or joins an in-flight evaluation
 // through the dispatcher's singleflight.
 func TestDispatchBatchDedup(t *testing.T) {
 	const batchCalls, distinct, clients = 5000, 250, 4

@@ -334,7 +334,7 @@ type Metrics struct {
 	// DispatchBatches / DispatchDecisions count /v1/dispatch batches
 	// served and the individual routing decisions inside them;
 	// DispatchCacheHits counts the decisions answered from the
-	// dispatchers' seen-shape caches, and DispatchAbandoned the batches
+	// dispatchers' memo maps, and DispatchAbandoned the batches
 	// whose client hung up mid-batch (answered 499).
 	DispatchBatches, DispatchDecisions, DispatchCacheHits, DispatchAbandoned *Counter
 }

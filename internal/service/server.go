@@ -115,20 +115,11 @@ type Options struct {
 	// 0 disables the fair-share layer.
 	FairShareRate  float64
 	FairShareBurst int
-	// AdmissionClock replaces time.Now inside the overload controller
-	// (tests run admission in virtual time).
-	AdmissionClock resilience.Clock
 
 	// MaxDispatchBatch caps the calls in one /v1/dispatch request
 	// (default 8192). Dispatch decisions are cheap, but an unbounded
 	// batch would still monopolise a connection.
 	MaxDispatchBatch int
-	// DispatchCacheEntries sizes each per-system dispatcher's seen-shape
-	// cache (0 takes offload's default).
-	DispatchCacheEntries int
-	// DispatchMargin is the dispatchers' hysteresis margin (0 takes
-	// offload's default).
-	DispatchMargin float64
 	// DispatchEvaluate replaces the dispatchers' timing-model evaluation
 	// (tests count or script it).
 	DispatchEvaluate offload.EvaluateFunc
@@ -202,7 +193,6 @@ func New(opts Options) *Server {
 			QueueCap:       opts.Queue,
 			FairShareRate:  opts.FairShareRate,
 			FairShareBurst: opts.FairShareBurst,
-			Clock:          opts.AdmissionClock,
 		}),
 		cache:       NewCacheTTL(opts.CacheSize, opts.CacheTTL),
 		flights:     newFlightGroup(),

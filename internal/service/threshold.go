@@ -242,14 +242,12 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The deadline budget covers everything after request validation:
-	// admission queueing, the sweep itself, and result shaping. The
-	// absolute deadline handed to admission reads the controller's clock
-	// so budget arithmetic stays in virtual time under test.
+	// admission queueing, the sweep itself, and result shaping.
 	ctx, cancel := resilience.Deadline(r.Context(), budget)
 	defer cancel()
 	var deadline time.Time
 	if budget > 0 {
-		deadline = s.opts.AdmissionClock.Now().Add(budget)
+		deadline = time.Now().Add(budget)
 	}
 
 	if v, ok := s.cache.Get(plan.key); ok {

@@ -60,9 +60,10 @@ const Schema = "efftab/v1"
 // boundary stay classifiable).
 var ErrInvalid = errors.New("efftab: invalid table")
 
-// Host records the environment a table was measured on, mirroring the
-// BENCH artifact's self-describing host block (same artifact discipline:
-// a reader must be able to judge whether the measurements transfer).
+// Host records the environment a measurement was taken on. It is the one
+// self-describing host block of every artifact: efficiency tables, and
+// the blob-bench and blob-soak artifacts (GEMMbench's discipline: a
+// reader must be able to judge whether the measurements transfer).
 type Host struct {
 	OS         string `json:"os"`
 	Arch       string `json:"arch"`
