@@ -10,7 +10,7 @@
 //	POST /v1/advise     advisor verdicts for a batch of BLAS call groups
 //	POST /v1/threshold  offload-threshold sweep (cached, deduplicated)
 //	POST /v1/dispatch   batched CPU/GPU routing through the per-system
-//	                    offload dispatcher (memoized, hysteresis-damped)
+//	                    offload dispatcher (memoized, stateless margin)
 //	GET  /healthz       liveness (is the process up)
 //	GET  /readyz        readiness (should the process receive traffic) —
 //	                    503 not_ready while draining and until the sweep

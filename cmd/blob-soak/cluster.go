@@ -361,19 +361,11 @@ func scoreCluster(run, ref *clusterRun, budget time.Duration, words clusterWords
 		run.fail(words.noReference)
 		return false
 	}
-	for _, dim := range sortedDims(run.verdicts) {
-		if want, ok := ref.verdicts[dim]; !ok {
-			run.fail(fmt.Sprintf(words.missing, dim))
-		} else if want != run.verdicts[dim] {
-			run.fail(fmt.Sprintf(words.differs, dim))
-		}
-	}
+	matchVerdicts(&run.ProfileResult, run.verdicts, ref.verdicts, words.missing, words.differs)
 	if run.maxLatency > budget {
 		run.fail(fmt.Sprintf("request hung %.0fms, budget %s", run.MaxLatencyMs, budget))
 	}
 	run.checkLeak()
-	run.VerdictDigest = digest(run.verdicts)
-	run.ReferenceDigest = digest(ref.verdicts)
 	return true
 }
 

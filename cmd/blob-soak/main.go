@@ -22,7 +22,9 @@
 //	sustain  4x capacity for the whole window, AIMD limiter engaged
 //	chaos    sustain plus a seeded fault-injection plan on the backends
 //	dispatch 4x capacity of /v1/dispatch batches: the decision hot path
-//	         must stay fast and the memo map must absorb the repeats
+//	         must stay fast and the memo map must absorb the repeats;
+//	         a final probe of every working-set shape must route exactly
+//	         as a fresh in-process dispatcher does
 //	cluster  3-replica consistent-hash cluster behind blob-gateway, with
 //	         a replica killed and rejoined mid-run: cache hits must scale
 //	         ~linearly vs a single node, every verdict must match the
@@ -71,10 +73,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/offload"
 	"repro/internal/resilience"
 	"repro/internal/service"
 	"repro/internal/sim/efftab"
 	"repro/internal/sim/systems"
+	"repro/internal/sim/xfer"
 	"repro/pkg/blobclient"
 )
 
@@ -355,6 +359,7 @@ const (
 	dispatchBatchSize = 64
 	dispatchShapes    = 200
 	dispatchHitFloor  = 0.5
+	dispatchSystem    = "isambard-ai"
 )
 
 func thresholdReq(dim int) service.ThresholdRequest {
@@ -428,6 +433,9 @@ func runProfile(p profile, workers int, seed int64, window time.Duration, sweepC
 		shots = append(shots, runPhase(p, client, ts.URL, ph, seed, time.Duration(float64(window)*ph.fraction))...)
 	}
 	res.DurationMs = float64(time.Since(began)) / float64(time.Millisecond)
+	if p.dispatch {
+		probeDispatch(&res, warmer, dispatchReference())
+	}
 
 	// Drain and count goroutines once everything is torn down.
 	ts.Close()
@@ -536,20 +544,68 @@ func thresholdShot(cl *blobclient.Client, dim int) (*shot, error) {
 	return s, nil
 }
 
+// dispatchCall is working-set shape i: an f64 GEMM {16+4i, 64, 64},
+// called once, its operands copied once (dispatchReference prices the
+// same shape in-process).
+func dispatchCall(i int) service.DispatchCallRequest {
+	var cr service.DispatchCallRequest
+	cr.Kernel = "gemm"
+	cr.M = 16 + 4*i
+	cr.N, cr.K = 64, 64
+	cr.Precision = "f64"
+	cr.Count = 1
+	cr.Movement = "once"
+	return cr
+}
+
 // dispatchReq builds one batch over the bounded shape working set.
 func dispatchReq(rng *rand.Rand) service.DispatchRequest {
-	req := service.DispatchRequest{System: "isambard-ai"}
+	req := service.DispatchRequest{System: dispatchSystem}
 	for i := 0; i < dispatchBatchSize; i++ {
-		var cr service.DispatchCallRequest
-		cr.Kernel = "gemm"
-		cr.M = 16 + 4*rng.Intn(dispatchShapes)
-		cr.N, cr.K = 64, 64
-		cr.Precision = "f64"
-		cr.Count = 1
-		cr.Movement = "once"
-		req.Calls = append(req.Calls, cr)
+		req.Calls = append(req.Calls, dispatchCall(rng.Intn(dispatchShapes)))
 	}
 	return req
+}
+
+// probeDispatch routes every working-set shape once, after the load
+// and outside the shots the fast tier and hit-rate floor judge, fails
+// the profile for each verdict that differs from ref, and records both
+// digests.
+func probeDispatch(res *ProfileResult, cl *blobclient.Client, ref map[int]string) {
+	req := service.DispatchRequest{System: dispatchSystem}
+	for i := 0; i < dispatchShapes; i++ {
+		req.Calls = append(req.Calls, dispatchCall(i))
+	}
+	resp, err := cl.DispatchBatch(context.Background(), req)
+	if err == nil && len(resp.Decisions) != len(req.Calls) {
+		err = fmt.Errorf("%d decisions for %d calls", len(resp.Decisions), len(req.Calls))
+	}
+	if err != nil {
+		res.fail("dispatch probe failed: " + err.Error())
+		return
+	}
+	got := make(map[int]string, len(req.Calls))
+	for i, dec := range resp.Decisions {
+		got[req.Calls[i].M] = dec.Device
+	}
+	matchVerdicts(res, got, ref, "probe shape m=%d missing from the in-process reference",
+		"m=%d: served dispatch verdict differs from the in-process reference")
+}
+
+// dispatchReference maps each working-set shape's m to the device a
+// fresh in-process dispatcher gives it, deciding them in m order. A
+// verdict depends only on its call, so the served dispatcher must agree
+// after any load; a failed decision reads "unknown" and never does.
+func dispatchReference() map[int]string {
+	sys, _ := systems.ByName(dispatchSystem) // a preset: the probe names it too
+	d := offload.New(offload.Options{System: sys})
+	ref := make(map[int]string, dispatchShapes)
+	for i := 0; i < dispatchShapes; i++ {
+		m := 16 + 4*i
+		dec, _ := d.Gemm(context.Background(), core.F64, m, 64, 64, 1, xfer.TransferOnce, false)
+		ref[m] = dec.Device.String()
+	}
+	return ref
 }
 
 // dispatchShot issues one routing batch and records the outcome.
@@ -749,18 +805,25 @@ func verifyVerdicts(res *ProfileResult, shots []shot, workers int) {
 	// The fault-free reference: a quiet server, sequential requests.
 	transport := &http.Transport{}
 	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
-	dims := sortedDims(verdicts)
-	ref := replay(service.Options{Workers: workers, Sweep: costedSweep(0, nil)}, client, [][]int{dims})
+	ref := replay(service.Options{Workers: workers, Sweep: costedSweep(0, nil)}, client, [][]int{sortedDims(verdicts)})
 	transport.CloseIdleConnections()
-	for _, dim := range dims {
-		if want, ok := ref.verdicts[dim]; !ok {
-			res.fail(fmt.Sprintf("reference sweep for dim %d failed", dim))
-		} else if want != verdicts[dim] {
-			res.fail(fmt.Sprintf("dim %d: chaos verdict differs from fault-free reference", dim))
+	matchVerdicts(res, verdicts, ref.verdicts, "reference sweep for dim %d failed",
+		"dim %d: chaos verdict differs from fault-free reference")
+}
+
+// matchVerdicts fails res, in dim order, for every dim of got that ref
+// lacks or answers differently, and records both digests. missing and
+// differs format the violations; each takes the dim.
+func matchVerdicts(res *ProfileResult, got, ref map[int]string, missing, differs string) {
+	for _, dim := range sortedDims(got) {
+		if want, ok := ref[dim]; !ok {
+			res.fail(fmt.Sprintf(missing, dim))
+		} else if want != got[dim] {
+			res.fail(fmt.Sprintf(differs, dim))
 		}
 	}
-	res.VerdictDigest = digest(verdicts)
-	res.ReferenceDigest = digest(ref.verdicts)
+	res.VerdictDigest = digest(got)
+	res.ReferenceDigest = digest(ref)
 }
 
 // sortedDims lists a verdict map's dims in order, so digests and

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"maps"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/pkg/blobclient"
 )
 
 // fastShots is a healthy run's fast tier: cache hits answered in 1 ms.
@@ -273,5 +276,37 @@ func TestVerifyVerdicts(t *testing.T) {
 				t.Fatalf("digests %q and %q, want equal and set", res.VerdictDigest, res.ReferenceDigest)
 			}
 		})
+	}
+}
+
+// TestProbeDispatch: a served probe that routes like the in-process
+// reference passes with equal digests; against a reference that differs
+// in one shape it fails the profile with exactly that shape's violation.
+func TestProbeDispatch(t *testing.T) {
+	svc := service.New(service.Options{})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	cl := blobclient.New(blobclient.Options{BaseURL: ts.URL, Breaker: soakBreakerOff})
+	ref := dispatchReference()
+	if len(ref) != dispatchShapes {
+		t.Fatalf("%d reference verdicts, want %d", len(ref), dispatchShapes)
+	}
+	res := newResult()
+	probeDispatch(&res, cl, ref)
+	if !res.Pass || res.VerdictDigest == "" || res.VerdictDigest != res.ReferenceDigest {
+		t.Fatalf("clean probe: pass=%v violations=%q digests %q and %q", res.Pass, res.Violations, res.VerdictDigest, res.ReferenceDigest)
+	}
+
+	bad := maps.Clone(ref)
+	bad[44] = "gpu"
+	if ref[44] == "gpu" {
+		bad[44] = "cpu"
+	}
+	res = newResult()
+	probeDispatch(&res, cl, bad)
+	want := []string{"m=44: served dispatch verdict differs from the in-process reference"}
+	if res.Pass || !slices.Equal(res.Violations, want) || res.VerdictDigest == res.ReferenceDigest {
+		t.Fatalf("differing reference: pass=%v violations=%q, want %q and differing digests", res.Pass, res.Violations, want)
 	}
 }

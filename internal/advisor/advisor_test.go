@@ -1,7 +1,9 @@
 package advisor
 
 import (
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -149,5 +151,44 @@ func TestCallFlops(t *testing.T) {
 	c = Call{Kernel: core.GEMV, M: 3, N: 4, Precision: core.F64, Count: 1}
 	if got := c.Flops(); got != 2*3*4+3 {
 		t.Fatalf("gemv flops = %d", got)
+	}
+}
+
+// TestGemmQuirksSeeKAtLeastOne: the library GEMM quirks key on
+// efftab.GemmSize, the cube root of m·n·k, which is only meaningful for
+// k >= 1. Neither path that prices a GEMM hands a quirk a smaller k: the
+// sweep engine draws k from a problem type at p >= 1, and the advisor
+// rejects k < 1 before it prices anything.
+func TestGemmQuirksSeeKAtLeastOne(t *testing.T) {
+	var calls, bad atomic.Int64
+	watch := func(q func(es, m, n, k int, gf float64) float64) func(es, m, n, k int, gf float64) float64 {
+		return func(es, m, n, k int, gf float64) float64 {
+			calls.Add(1)
+			if k < 1 {
+				bad.Add(1)
+			}
+			if q == nil {
+				return gf
+			}
+			return q(es, m, n, k, gf)
+		}
+	}
+	cfg := core.DefaultConfig(8)
+	cfg.MinDim, cfg.MaxDim = 0, 40
+	for _, sys := range systems.All() {
+		sys.CPU.Lib.GemmQuirk = watch(sys.CPU.Lib.GemmQuirk)
+		sys.GPU.Lib.GemmQuirk = watch(sys.GPU.Lib.GemmQuirk)
+		if _, err := core.Run(context.Background(), sys, core.GemmProblems, []core.Precision{core.F32, core.F64}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{-1, 0, 1} {
+			_, err := Advise(sys, Call{Kernel: core.GEMM, M: 64, N: 64, K: k, Precision: core.F64, Count: 1})
+			if (err == nil) != (k >= 1) {
+				t.Errorf("%s: Advise with k=%d: err = %v", sys.Name, k, err)
+			}
+		}
+	}
+	if calls.Load() == 0 || bad.Load() != 0 {
+		t.Fatalf("quirks saw %d calls, %d of them with k < 1; want some and none", calls.Load(), bad.Load())
 	}
 }

@@ -70,7 +70,7 @@ func DefaultSuite(opt Options) []Case {
 		serviceHealthzCase(),
 		overloadAcquireCase(),
 		serviceThresholdShedCase(),
-		offloadDecisionLatencyCase(),
+		offloadDecideWarmCase(),
 		offloadDispatchBatchCase(dispatchBatch),
 		clusterRouteOverheadCase(),
 		clusterHedgeOverheadCase(),
@@ -374,8 +374,9 @@ func serviceThresholdCachedCase(maxDim int) Case {
 // POST /v1/threshold through a gateway in front of a 3-replica cluster,
 // with the shard already cached on its ring owner. Every repetition
 // pays route-key derivation, ring lookup, breaker admission, and the
-// proxy hop — the fixed overhead clustering adds to a cache hit, which
-// the cluster SLO (TestGatewayRouteOverhead) bounds at p99 < 1ms.
+// proxy hop — the fixed overhead clustering adds to a cache hit.
+// TestGatewayRouteOverhead bounds it as a ratio: the gateway's p50 is at
+// most maxRouteRatio times a direct request's p50.
 func clusterRouteOverheadCase() Case {
 	return clusterGatewayCase("cluster/route-overhead", cluster.GatewayOptions{})
 }
@@ -384,9 +385,9 @@ func clusterRouteOverheadCase() Case {
 // armed: same cached shard, same proxy hop, plus the hedge timer and
 // latency-window bookkeeping on every request. Against a healthy
 // cluster the timer never fires, so this case prices the *unfaulted*
-// cost of arming hedges — which must stay inside the same p99 < 1ms
-// routing SLO (TestGatewayHedgeOverhead asserts it; BENCH artifacts
-// record it).
+// cost of arming hedges. TestGatewayHedgeOverhead holds it to the same
+// ratio bound (gateway p50 at most maxRouteRatio times direct p50);
+// BENCH artifacts record the absolute figure.
 func clusterHedgeOverheadCase() Case {
 	return clusterGatewayCase("cluster/hedge-overhead", cluster.GatewayOptions{Hedge: true})
 }
@@ -573,16 +574,17 @@ func serviceThresholdShedCase() Case {
 	}
 }
 
-// offloadDecisionLatencyCase measures offload.Dispatcher's cached
-// decision path in isolation: a warmed dispatcher answering one
-// already-memoized shape per op. This is the per-call routing tax an
-// application pays once the memo map is warm. Its companion test in
-// internal/offload asserts only a ratio: a hit's p50 is at most half an
-// uncached decision's p50.
-func offloadDecisionLatencyCase() Case {
+// offloadDecideWarmCase measures offload.Dispatcher's cached decision
+// path: one op decides each of 256 already-memoized shapes once, so a
+// repetition is long enough for the harness's own overhead to vanish
+// against it. This is the per-call routing tax an application pays once
+// the memo map is warm, times 256. Its companion test in internal/offload
+// asserts only a ratio: a hit's p50 is at most half an uncached
+// decision's p50.
+func offloadDecideWarmCase() Case {
 	const shapes = 256
 	return Case{
-		Name:  "offload/decision-latency",
+		Name:  fmt.Sprintf("offload/decide-warm/b%d", shapes),
 		Group: "offload",
 		Prepare: func(ctx context.Context) (func() error, func(), error) {
 			sys, err := systems.ByName("isambard-ai")
@@ -599,17 +601,15 @@ func offloadDecisionLatencyCase() Case {
 				calls[i].Count = 1
 				calls[i].Strategy = xfer.TransferOnce
 			}
-			for _, c := range calls {
-				if _, err := d.Decide(ctx, c); err != nil {
-					return nil, nil, err
+			decideAll := func() error {
+				for _, c := range calls {
+					if _, err := d.Decide(ctx, c); err != nil {
+						return err
+					}
 				}
+				return nil
 			}
-			i := 0
-			return func() error {
-				_, err := d.Decide(ctx, calls[i%shapes])
-				i++
-				return err
-			}, nil, nil
+			return decideAll, nil, decideAll() // warm every shape before timing
 		},
 	}
 }

@@ -31,12 +31,13 @@ type GatewayOptions struct {
 	Replication int
 	// Logger receives routing logs; nil discards them.
 	Logger *slog.Logger
-	// Hedge enables hedged requests on the idempotent routes
+	// Hedge enables hedged requests on the cache-read routes
 	// (/v1/threshold, /v1/advise): when the primary owner has
 	// not answered within the hedge delay, a second copy of the request
 	// races to the next ring owner — first success wins, the loser is
-	// cancelled. /v1/dispatch is never hedged: the dispatcher's hysteresis
-	// state makes a duplicated batch observable, so it is not idempotent.
+	// cancelled. /v1/dispatch is never hedged: it routes by system to
+	// keep that system's memo map on one replica, and a hedge would copy
+	// a batch of up to 8192 calls to a replica whose memo is cold.
 	Hedge bool
 	// HedgeAfter fixes the hedge delay. 0 (the default) derives it per
 	// request from the p99 of recent successful proxy latencies, clamped
@@ -62,7 +63,7 @@ type GatewayOptions struct {
 //     identity the replica caches the result under, so one shard's
 //     requests concentrate on the replica whose LRU holds them;
 //   - /v1/dispatch: the system name, concentrating each system's
-//     dispatcher shape-cache on one replica;
+//     dispatcher memo map on one replica;
 //   - /v1/advise: a digest of the request body — advise is stateless,
 //     so any replica answers identically and the digest just spreads
 //     load deterministically.
@@ -183,10 +184,10 @@ func (g *Gateway) routeThreshold(w http.ResponseWriter, r *http.Request, body []
 	g.route(w, r, key, body, true, arrived)
 }
 
-// routeDispatch routes by system name: each system's dispatcher
-// shape-cache warms on one replica instead of diluting across all.
-// Dispatch is never hedged (hedgeable=false): the dispatcher's
-// hysteresis state makes a duplicated batch observable.
+// routeDispatch routes by system name: each system's dispatcher memo
+// map warms on one replica instead of diluting across all. Dispatch is
+// never hedged (hedgeable=false): a hedge would copy a batch of up to
+// 8192 calls to a replica whose memo for that system is cold.
 func (g *Gateway) routeDispatch(w http.ResponseWriter, r *http.Request, body []byte, arrived time.Time) {
 	system := dispatchSystem(body)
 	if system == "" {

@@ -104,7 +104,8 @@ func TestGatewayHedgeWin(t *testing.T) {
 	if st := g.pool.Breaker(nodes[1].name).State(); st != resilience.Closed {
 		t.Fatalf("losing primary's breaker is %v, want closed", st)
 	}
-	// Dispatch is not idempotent and must never hedge, slow owner or not.
+	// Dispatch must never hedge, slow owner or not: a hedge would copy the
+	// batch to a replica whose memo for that system is cold.
 	dispatch := []byte(`{"system":"dawn","calls":[{"kernel":"gemm","m":8,"n":8,"k":8,"precision":"f64"}]}`)
 	resp = postJSON(t, ts.URL+"/v1/dispatch", dispatch)
 	io.Copy(io.Discard, resp.Body)

@@ -13,8 +13,8 @@ import (
 // Example is the README's "Dispatch routing" snippet, compiled: build one
 // long-lived dispatcher per system and route every BLAS call group
 // through it. The first sighting of a shape evaluates the timing models;
-// replays are answered from the memo map, and verdicts near the
-// offload threshold are held by hysteresis instead of flapping.
+// replays are answered from the memo map, and a call offloads only when
+// the GPU wins by the stateless 10% margin.
 func Example() {
 	sys, err := systems.ByName("isambard-ai")
 	if err != nil {

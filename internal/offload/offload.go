@@ -8,8 +8,9 @@
 // First-Touch Style Data Movement" and the Grace-Hopper study): an
 // intercepting runtime sits under the application's BLAS calls and
 // routes each one to the faster device, consulting the calibrated
-// timing models the advisor exposes. Three mechanisms keep that
-// per-call consultation cheap and stable:
+// timing models the advisor exposes. A verdict is a function of the
+// call alone, never of the calls before it, and three mechanisms keep
+// that per-call consultation cheap and stable:
 //
 //   - Memoization. Applications replay the same handful of call shapes
 //     millions of times, so verdicts are memoized in one map keyed by
@@ -19,12 +20,12 @@
 //     evaluation instead of repeating it. The map holds at most
 //     memoBound entries; a full map is cleared before the next insert.
 //
-//   - Hysteresis. Near the offload threshold the two modeled times are
-//     within noise of each other, and a raw per-call argmin would flap
-//     between devices — costly when each flip moves a working set. A
-//     verdict only switches device when the challenger wins by a 10%
-//     margin, so a ramp of shapes crossing the threshold switches at
-//     most once in each direction.
+//   - Stateless margin. Near the offload threshold the two modeled times
+//     are within noise of each other. A call goes to the GPU only when
+//     its modeled GPU time beats the CPU time by a 10% margin; inside
+//     that band the CPU, which moves no data, keeps it. The rule reads
+//     only the call's own times, so arrival order and memo history
+//     cannot change a verdict.
 //
 //   - First-touch/USM placement awareness. Under unified memory the
 //     first kernel after placement pays page-fault migration for the
@@ -53,8 +54,8 @@ import (
 // Device is the routing verdict for one call.
 type Device uint8
 
-// The two targets a call can be routed to. The zero value is reserved
-// so the hysteresis state can distinguish "no verdict yet".
+// The two targets a call can be routed to. The zero value is reserved,
+// so a zero Decision never names a device.
 const (
 	CPU Device = iota + 1
 	GPU
@@ -92,14 +93,14 @@ type Decision struct {
 	// group (data movement included; residency-adjusted when it applies).
 	CPUSeconds float64
 	GPUSeconds float64
-	// Speedup is CPUSeconds/GPUSeconds: values above 1 favour the GPU.
+	// Speedup is CPUSeconds/GPUSeconds: the call offloads above 1.1.
 	Speedup float64
 	// Cached reports the verdict was served from the memo map (or shared
 	// with a concurrent evaluation of the same shape) rather than
 	// evaluated against the timing models.
 	Cached bool
-	// Held reports that hysteresis kept the previous device even though
-	// the raw model comparison preferred the other one.
+	// Held reports that the raw model comparison preferred the GPU but
+	// the margin kept the call on the CPU.
 	Held bool
 }
 
@@ -129,18 +130,13 @@ type Stats struct {
 	// Evaluations counts timing-model evaluations — at most one per
 	// distinct shape while it stays cached.
 	Evaluations uint64
-	// Holds counts verdicts where hysteresis kept the incumbent device
-	// against the raw comparison; Switches counts device changes.
-	Holds    uint64
-	Switches uint64
+	// Holds counts evaluated verdicts the margin kept on the CPU against
+	// a raw GPU preference.
+	Holds uint64
 }
 
-// classCount is the number of hysteresis shape classes:
-// kernel x precision x transfer strategy.
-const classCount = 2 * 2 * 3
-
-// margin is the hysteresis band: once a device holds a shape-class
-// verdict, the other device must be this much faster to take it over.
+// margin is the band the GPU must win by: a call is offloaded only when
+// gpu·(1+margin) < cpu.
 const margin = 0.10
 
 // memoBound caps the memo map. /v1/dispatch feeds it outside input, so
@@ -153,17 +149,11 @@ type Dispatcher struct {
 	sys      systems.System
 	evaluate EvaluateFunc
 
-	// last holds the hysteresis state per shape class: 0 (no verdict
-	// yet) or a Device. Concurrent updates race benignly — the state is
-	// a stabilizer, not an invariant — but single-threaded ramps, the
-	// case hysteresis exists for, are deterministic.
-	last [classCount]atomic.Uint32
-
 	mu   sync.Mutex
 	memo map[Call]*entry
 
 	decisions, cacheHits, sharedHits atomic.Uint64
-	evaluations, holds, switches     atomic.Uint64
+	evaluations, holds               atomic.Uint64
 }
 
 // entry is one memoized shape. dec is written once, before done closes;
@@ -206,8 +196,8 @@ func (d *Dispatcher) Gemv(ctx context.Context, prec core.Precision, m, n, count 
 
 // Decide routes one call. The hot path — a shape seen before — is one
 // locked map lookup, allocation-free; a shape's first sighting evaluates
-// the timing models once, applies the residency adjustment and
-// hysteresis, and memoizes the verdict, while concurrent callers of the
+// the timing models once, applies the residency adjustment and the
+// margin, and memoizes the verdict, while concurrent callers of the
 // same shape wait for that evaluation. A cancelled context returns its
 // error without touching dispatcher state.
 //
@@ -256,7 +246,7 @@ func (d *Dispatcher) insert(c Call) *entry {
 }
 
 // evaluateCall prices the call, applies the USM residency adjustment and
-// hysteresis, and shapes the Decision.
+// the margin, and shapes the Decision.
 func (d *Dispatcher) evaluateCall(c Call) Decision {
 	d.evaluations.Add(1)
 	cpu, gpu := d.evaluate(d.sys, c.Call)
@@ -266,18 +256,15 @@ func (d *Dispatcher) evaluateCall(c Call) Decision {
 			gpu = 1e-12 // placement savings can never make compute free
 		}
 	}
-	raw := CPU
-	if gpu < cpu {
-		raw = GPU
+	dec := Decision{Device: CPU, CPUSeconds: cpu, GPUSeconds: gpu, Speedup: cpu / gpu}
+	switch {
+	case gpu*(1+margin) < cpu:
+		dec.Device = GPU
+	case gpu < cpu:
+		dec.Held = true
+		d.holds.Add(1)
 	}
-	dev := d.applyHysteresis(classIndex(c), raw, cpu, gpu)
-	return Decision{
-		Device:     dev,
-		CPUSeconds: cpu,
-		GPUSeconds: gpu,
-		Speedup:    cpu / gpu,
-		Held:       dev != raw,
-	}
+	return dec
 }
 
 // firstTouchSavings is the modeled data-movement time a resident working
@@ -296,50 +283,6 @@ func (d *Dispatcher) firstTouchSavings(c advisor.Call) float64 {
 		p.ResidentMoveSeconds(link, toDev, fromDev, c.Count)
 }
 
-// applyHysteresis resolves the raw model preference against the shape
-// class's incumbent device: with no incumbent, or agreement, the raw
-// verdict stands; otherwise the challenger must win by the margin or
-// the incumbent is held.
-func (d *Dispatcher) applyHysteresis(class int, raw Device, cpu, gpu float64) Device {
-	for {
-		prev := Device(d.last[class].Load())
-		chosen := raw
-		if prev != 0 && prev != raw {
-			switches := false
-			if raw == GPU {
-				switches = gpu*(1+margin) < cpu
-			} else {
-				switches = cpu*(1+margin) < gpu
-			}
-			if !switches {
-				chosen = prev
-			}
-		}
-		if d.last[class].CompareAndSwap(uint32(prev), uint32(chosen)) {
-			if chosen != raw {
-				d.holds.Add(1)
-			} else if prev != 0 && chosen != prev {
-				d.switches.Add(1)
-			}
-			return chosen
-		}
-	}
-}
-
-// classIndex maps a call to its hysteresis shape class:
-// (kernel, precision, strategy).
-func classIndex(c Call) int {
-	k := 0
-	if c.Kernel == core.GEMV {
-		k = 1
-	}
-	p := 0
-	if c.Precision == core.F64 {
-		p = 1
-	}
-	return (k*2+p)*3 + int(c.Strategy)
-}
-
 // Stats snapshots the dispatcher's counters.
 func (d *Dispatcher) Stats() Stats {
 	return Stats{
@@ -348,7 +291,6 @@ func (d *Dispatcher) Stats() Stats {
 		SharedHits:  d.sharedHits.Load(),
 		Evaluations: d.evaluations.Load(),
 		Holds:       d.holds.Load(),
-		Switches:    d.switches.Load(),
 	}
 }
 

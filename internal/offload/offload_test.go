@@ -3,7 +3,9 @@ package offload
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,24 +36,18 @@ func gemmCall(m, n, k int) Call {
 }
 
 // scriptedEvaluate builds an EvaluateFunc from pure shape functions, so
-// hysteresis tests control the exact crossing behaviour.
+// routing tests control the exact modeled times of every call.
 func scriptedEvaluate(cpu, gpu func(c advisor.Call) float64) EvaluateFunc {
 	return func(_ systems.System, c advisor.Call) (float64, float64) {
 		return cpu(c), gpu(c)
 	}
 }
 
-// TestHysteresisRampSwitchesOncePerDirection: shape ramps that cross the
-// offload threshold — including ramps whose raw comparison flaps near the
-// crossing — must switch device at most once on the way up and at most
-// once on the way down, at the dispatcher's fixed 10% margin.
+// TestHysteresisRampSwitchesOncePerDirection: a shape ramp whose modeled
+// times cross once switches device at most once on the way up and at
+// most once on the way down, and a ramp that never crosses never
+// switches.
 func TestHysteresisRampSwitchesOncePerDirection(t *testing.T) {
-	wobble := func(m int) float64 {
-		if m%2 == 0 {
-			return 6
-		}
-		return -6
-	}
 	cases := []struct {
 		name     string
 		cpu, gpu func(c advisor.Call) float64
@@ -59,19 +55,11 @@ func TestHysteresisRampSwitchesOncePerDirection(t *testing.T) {
 		step     int
 	}{
 		{
-			// Clean monotone crossing at m=100.
+			// Clean monotone crossing: the GPU takes over past m=110.
 			name: "clean-crossing",
 			cpu:  func(c advisor.Call) float64 { return float64(c.M) },
 			gpu:  func(c advisor.Call) float64 { return 100 },
 			from: 10, to: 400, step: 2,
-		},
-		{
-			// The raw argmin flaps every step between m=94 and m=106;
-			// the margin must ride straight through the noise.
-			name: "noisy-crossing",
-			cpu:  func(c advisor.Call) float64 { return float64(c.M) },
-			gpu:  func(c advisor.Call) float64 { return 100 + wobble(c.M) },
-			from: 40, to: 260, step: 1,
 		},
 		{
 			// GPU favoured from the start: no crossing, no switches.
@@ -113,9 +101,8 @@ func TestHysteresisRampSwitchesOncePerDirection(t *testing.T) {
 			if got := countSwitches(up); got > 1 {
 				t.Errorf("upward ramp switched %d times, want at most 1", got)
 			}
-			// The downward ramp revisits memoized shapes; their verdicts
-			// replay from the memo map in reverse order, which is exactly one
-			// switch back if the upward ramp switched once.
+			// The downward ramp replays the memoized verdicts in reverse
+			// order: one switch back if the upward ramp switched once.
 			if got := countSwitches(down); got > 1 {
 				t.Errorf("downward ramp switched %d times, want at most 1", got)
 			}
@@ -123,37 +110,197 @@ func TestHysteresisRampSwitchesOncePerDirection(t *testing.T) {
 	}
 }
 
-// TestHysteresisHoldsNearThreshold pins the hold mechanics: with the GPU
-// incumbent and a raw CPU preference inside the margin, the verdict is
-// held (and marked Held); outside the margin it switches.
-func TestHysteresisHoldsNearThreshold(t *testing.T) {
-	gpuT := 100.0
+// TestNoisyRampFollowsOwnTimes: on a ramp whose raw comparison flaps
+// around the crossing, every call's device and Held follow the margin
+// rule applied to that call's own scripted times, whatever came before
+// it, in either direction.
+func TestNoisyRampFollowsOwnTimes(t *testing.T) {
+	ramp := []struct {
+		m        int
+		cpu, gpu float64
+		want     Device
+		held     bool
+	}{
+		{m: 90, cpu: 90, gpu: 100, want: CPU},              // CPU faster
+		{m: 91, cpu: 112, gpu: 100, want: GPU},             // GPU wins by 12%
+		{m: 92, cpu: 94, gpu: 100, want: CPU},              // CPU faster again
+		{m: 93, cpu: 106, gpu: 100, want: CPU, held: true}, // GPU wins by 6%: held
+		{m: 94, cpu: 100, gpu: 100, want: CPU},             // a tie is no GPU preference
+		{m: 95, cpu: 130, gpu: 100, want: GPU},             // GPU wins by 30%
+		{m: 96, cpu: 109, gpu: 100, want: CPU, held: true}, // GPU wins by 9%: held
+		{m: 97, cpu: 99, gpu: 100, want: CPU},              // CPU faster by a hair
+		{m: 98, cpu: 111, gpu: 100, want: GPU},             // GPU wins by 11%
+		{m: 99, cpu: 200, gpu: 100, want: GPU},             // far past the crossing
+	}
+	times := map[int][2]float64{}
+	for _, r := range ramp {
+		times[r.m] = [2]float64{r.cpu, r.gpu}
+	}
+	evaluate := scriptedEvaluate(
+		func(c advisor.Call) float64 { return times[c.M][0] },
+		func(c advisor.Call) float64 { return times[c.M][1] },
+	)
+	for _, order := range []string{"up", "down"} {
+		t.Run(order, func(t *testing.T) {
+			d := New(Options{System: mustSystem(t, "dawn"), Evaluate: evaluate})
+			for i := range ramp {
+				r := ramp[i]
+				if order == "down" {
+					r = ramp[len(ramp)-1-i]
+				}
+				dec, err := d.Decide(context.Background(), gemmCall(r.m, 64, 64))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dec.Device != r.want || dec.Held != r.held {
+					t.Errorf("m=%d cpu=%g gpu=%g: got %v held=%v, want %v held=%v",
+						r.m, r.cpu, r.gpu, dec.Device, dec.Held, r.want, r.held)
+				}
+			}
+			if st := d.Stats(); st.Holds != 2 {
+				t.Errorf("holds = %d, want 2", st.Holds)
+			}
+		})
+	}
+}
+
+// TestMarginHolds pins the margin: a GPU that wins by less than 10%
+// leaves the call on the CPU, marked Held; a GPU that wins by more takes
+// it; a faster CPU keeps it without a hold.
+func TestMarginHolds(t *testing.T) {
 	d := New(Options{
 		System: mustSystem(t, "dawn"),
 		Evaluate: scriptedEvaluate(
 			func(c advisor.Call) float64 { return float64(c.M) },
-			func(c advisor.Call) float64 { return gpuT },
+			func(c advisor.Call) float64 { return 100 },
 		),
 	})
 	ctx := context.Background()
+	cases := []struct {
+		cpu  int
+		want Device
+		held bool
+	}{
+		{cpu: 105, want: CPU, held: true}, // GPU faster by 5%
+		{cpu: 200, want: GPU},             // GPU faster by 100%
+		{cpu: 50, want: CPU},              // CPU faster
+	}
+	for _, tc := range cases {
+		dec, err := d.Decide(ctx, gemmCall(tc.cpu, 8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Device != tc.want || dec.Held != tc.held {
+			t.Errorf("cpu=%d gpu=100: got %v held=%v, want %v held=%v", tc.cpu, dec.Device, dec.Held, tc.want, tc.held)
+		}
+	}
+	if st := d.Stats(); st.Holds != 1 {
+		t.Fatalf("holds = %d, want 1", st.Holds)
+	}
+}
 
-	dec, err := d.Decide(ctx, gemmCall(200, 8, 8)) // cpu=200 vs gpu=100: GPU
-	if err != nil || dec.Device != GPU || dec.Held {
-		t.Fatalf("want a clean GPU verdict, got %+v err %v", dec, err)
+// shapeGrid draws n distinct calls the way the cluster-serve benchmark
+// draws its dispatch shapes: power-of-two sizes 16…4096, counts 1, 8 and
+// 64, and a uniform kernel, precision and transfer strategy.
+func shapeGrid(rng *rand.Rand, n int) []Call {
+	sizes := []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+	counts := []int{1, 8, 64}
+	seen := map[Call]bool{}
+	out := make([]Call, 0, n)
+	for len(out) < n {
+		c := Call{Call: advisor.Call{
+			Kernel:    core.KernelKind(rng.Intn(2)),
+			M:         sizes[rng.Intn(len(sizes))],
+			N:         sizes[rng.Intn(len(sizes))],
+			Precision: core.Precision(rng.Intn(2)),
+			Count:     counts[rng.Intn(len(counts))],
+			Strategy:  xfer.Strategies[rng.Intn(len(xfer.Strategies))],
+		}}
+		if c.Kernel == core.GEMM {
+			c.K = sizes[rng.Intn(len(sizes))]
+		}
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c)
+		}
 	}
-	// cpu=95 beats gpu=100 raw, but not by the 10% margin: held on GPU.
-	dec, err = d.Decide(ctx, gemmCall(95, 8, 8))
-	if err != nil || dec.Device != GPU || !dec.Held {
-		t.Fatalf("want a held GPU verdict, got %+v err %v", dec, err)
+	return out
+}
+
+// verdict is the part of a Decision that routing depends on.
+type verdict struct {
+	device Device
+	held   bool
+}
+
+// decideAll routes every call on d and returns the verdicts by call.
+func decideAll(t *testing.T, d *Dispatcher, calls []Call) map[Call]verdict {
+	t.Helper()
+	out := make(map[Call]verdict, len(calls))
+	for _, c := range calls {
+		dec, err := d.Decide(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[c] = verdict{dec.Device, dec.Held}
 	}
-	// cpu=50 wins by far more than the margin: switches to CPU.
-	dec, err = d.Decide(ctx, gemmCall(50, 8, 8))
-	if err != nil || dec.Device != CPU || dec.Held {
-		t.Fatalf("want a switch to CPU, got %+v err %v", dec, err)
+	return out
+}
+
+// TestVerdictsIgnoreArrivalOrder: the same 384 shapes, fed to a fresh
+// dispatcher in 20 seeded orders, get identical verdicts on every
+// system.
+func TestVerdictsIgnoreArrivalOrder(t *testing.T) {
+	grid := shapeGrid(rand.New(rand.NewSource(1)), 384)
+	for _, name := range []string{"dawn", "lumi", "isambard-ai"} {
+		t.Run(name, func(t *testing.T) {
+			sys := mustSystem(t, name)
+			want := decideAll(t, New(Options{System: sys}), grid)
+			for seed := int64(1); seed < 20; seed++ {
+				order := slices.Clone(grid)
+				rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) {
+					order[i], order[j] = order[j], order[i]
+				})
+				got := decideAll(t, New(Options{System: sys}), order)
+				differ := 0
+				for c, v := range want {
+					if got[c] != v {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("order %d: %d of %d verdicts differ from the grid order", seed, differ, len(grid))
+				}
+			}
+		})
 	}
-	st := d.Stats()
-	if st.Holds != 1 || st.Switches != 1 {
-		t.Fatalf("stats holds=%d switches=%d, want 1 and 1", st.Holds, st.Switches)
+}
+
+// TestMemoClearKeepsVerdicts: clearing the memo map changes no verdict.
+// A shape set decided, flushed out by memoBound filler shapes and
+// decided again gets the same devices and holds from fresh evaluations.
+func TestMemoClearKeepsVerdicts(t *testing.T) {
+	d := New(Options{System: mustSystem(t, "isambard-ai")})
+	ctx := context.Background()
+	set := shapeGrid(rand.New(rand.NewSource(2)), 384)
+	before := decideAll(t, d, set)
+	for i := 0; i < memoBound; i++ {
+		// N=31 is off the grid's sizes, so no filler is a set shape.
+		if _, err := d.Decide(ctx, gemmCall(8+i, 31, 31)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range set {
+		dec, err := d.Decide(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Cached {
+			t.Fatalf("%+v: still memoized after %d fillers", c, memoBound)
+		}
+		if got := (verdict{dec.Device, dec.Held}); got != before[c] {
+			t.Errorf("%+v: %+v before the clear, %+v after", c, before[c], got)
+		}
 	}
 }
 
@@ -359,15 +506,15 @@ func TestResidencyLowersUSMThreshold(t *testing.T) {
 	}
 }
 
-// TestDecideAgreesWithAdvisor: with no incumbent verdict to hold, the
-// dispatcher's verdict must be the advisor's verdict — the façade adds
-// stability and memoization, not a different policy. Each shape gets a
-// fresh dispatcher, so hysteresis never applies.
+// TestDecideAgreesWithAdvisor: one long-lived dispatcher agrees with the
+// advisor on every size, in any order. The only difference is the
+// margin: a call the advisor would offload may be held on the CPU, and
+// then Held says so.
 func TestDecideAgreesWithAdvisor(t *testing.T) {
 	sys := mustSystem(t, "dawn")
 	ctx := context.Background()
-	for _, n := range []int{8, 32, 128, 512, 2048} {
-		d := New(Options{System: sys})
+	d := New(Options{System: sys})
+	for _, n := range []int{8, 32, 128, 512, 2048, 64, 1024, 16} {
 		c := advisor.Call{Kernel: core.GEMM, M: n, N: n, K: n,
 			Precision: core.F64, Count: 8, Strategy: xfer.TransferOnce}
 		want, err := advisor.Advise(sys, c)
@@ -378,12 +525,8 @@ func TestDecideAgreesWithAdvisor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantDev := CPU
-		if want.Offload {
-			wantDev = GPU
-		}
-		if dec.Device != wantDev {
-			t.Errorf("n=%d: dispatcher says %v, advisor says offload=%v", n, dec.Device, want.Offload)
+		if (dec.Device == GPU) != (want.Offload && !dec.Held) || (dec.Held && !want.Offload) {
+			t.Errorf("n=%d: dispatcher says %v held=%v, advisor says offload=%v", n, dec.Device, dec.Held, want.Offload)
 		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 // This file is the HTTP face of internal/offload: POST /v1/dispatch
 // takes a batch of BLAS call shapes for one system and answers, per
 // call, which device an auto-offload runtime should route it to. The
-// server keeps one long-lived offload.Dispatcher per system, so the
-// hysteresis state and the memo map persist across requests —
-// repeated production traffic converges to pure cache hits, which is
-// the point of the endpoint.
+// server keeps one long-lived offload.Dispatcher per system, so its
+// memo map persists across requests — repeated production traffic
+// converges to pure cache hits, which is the point of the endpoint. A
+// verdict depends only on its call, never on earlier requests.
 
 // DispatchCallRequest is one call in a dispatch batch: the advise wire
 // shape plus the USM residency flag.
@@ -43,8 +43,8 @@ type DecisionBody struct {
 	// Cached marks a decision replayed from the dispatcher's memo map (or
 	// shared with a concurrent evaluation of the same shape).
 	Cached bool `json:"cached,omitempty"`
-	// Held marks a verdict the hysteresis band kept on the incumbent
-	// device against a raw preference for the other one.
+	// Held marks a call the raw model comparison would offload but the
+	// margin kept on the CPU.
 	Held bool `json:"held,omitempty"`
 }
 

@@ -2,7 +2,7 @@
 // long-running HTTP/JSON API that answers offload-advice queries
 // (POST /v1/advise), offload-threshold sweeps (POST /v1/threshold) and
 // batched per-call routing decisions (POST /v1/dispatch, backed by
-// internal/offload's hysteresis dispatcher) from GPU-BLOB's calibrated
+// internal/offload's stateless-margin dispatcher) from GPU-BLOB's calibrated
 // models, the way an automatic-offload runtime would consult them at
 // dispatch time. All v1 endpoints answer with the unified envelope
 // defined in envelope.go.

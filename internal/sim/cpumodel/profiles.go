@@ -1,6 +1,6 @@
 package cpumodel
 
-import "math"
+import "repro/internal/sim/efftab"
 
 // Library profiles. Constants are calibrated so the full benchmark
 // reproduces the qualitative shapes of the paper's Tables III-VI and
@@ -19,7 +19,7 @@ const OneMKLDropRecover = 1800
 // the geometric-mean dimension so non-square problems of comparable volume
 // see the same heuristic switch.
 func oneMKLGemmDrop(_ int, m, n, k int, gf float64) float64 {
-	gm := geomMean3(m, n, k)
+	gm := efftab.GemmSize(m, n, k)
 	if gm < OneMKLDropStart || gm >= OneMKLDropRecover {
 		return gf
 	}
@@ -149,11 +149,4 @@ var OpenBLAS = Profile{
 	DispatchBaseUS:      1.5,
 	DispatchPerThreadUS: 0.12,
 	CacheFraction:       0.70,
-}
-
-func geomMean3(m, n, k int) float64 {
-	if m <= 0 || n <= 0 || k <= 0 {
-		return 0
-	}
-	return math.Cbrt(float64(m) * float64(n) * float64(k))
 }

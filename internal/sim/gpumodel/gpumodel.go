@@ -376,20 +376,10 @@ func rocBLASGemmQuirks(elemSize, m, n, k int, gf float64) float64 {
 // the tiled path, so the CPU keeps those sizes regardless of iteration
 // count.
 func cuBLASSmallKernelFloor(_ int, m, n, k int, gf float64) float64 {
-	if geomMean3(m, n, k) < 26 {
+	if efftab.GemmSize(m, n, k) < 26 {
 		return gf * 0.04
 	}
 	return gf
-}
-
-func geomMean3(m, n, k int) float64 {
-	if k <= 0 {
-		k = 1
-	}
-	if m <= 0 || n <= 0 {
-		return 0
-	}
-	return math.Cbrt(float64(m) * float64(n) * float64(k))
 }
 
 // CuBLAS is cuBLAS 24.5 on the GH200.
